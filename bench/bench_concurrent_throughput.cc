@@ -7,8 +7,8 @@
 // serialising — misses execute outside any lock, and hot workloads get both
 // reuse (less work per query) and parallelism across workers.
 //
-//   ./bench_concurrent_throughput            # SF from RDB_TPCH_SF (0.01)
-//   RDB_MAX_WORKERS=16 ./bench_concurrent_throughput
+//   ./bench_concurrent_throughput            # SF from RDB_TPCH_SF (0.005)
+//   RDB_MAX_WORKERS=16 ./bench_concurrent_throughput  # default 4
 //   ./bench_concurrent_throughput --json BENCH_concurrent.json \
 //                                 --metrics BENCH_metrics.json
 //
@@ -124,11 +124,6 @@ struct JsonRow {
   // absolute qps is advisory.
   bool has_rel = false;
   double rel_qps = 0;
-  // mvcc_mixed only (snapshot row): exclusive-lock reader p99 divided by
-  // snapshot-read reader p99 under identical writer churn. > 1 means MVCC
-  // improves tail latency; a within-run ratio, binding like rel_qps.
-  bool has_rel_p99 = false;
-  double rel_p99 = 0;
   // txn_mixed only: multi-statement transaction outcomes under contention
   // (first-writer-wins — conflicts are expected, not failures).
   bool has_txn = false;
@@ -193,7 +188,6 @@ void WriteJson(const std::string& path, double sf, int max_workers,
                        static_cast<unsigned long long>(r.p99_us));
     }
     if (r.has_rel) out << StrFormat(", \"rel_qps\": %.4f", r.rel_qps);
-    if (r.has_rel_p99) out << StrFormat(", \"rel_p99\": %.4f", r.rel_p99);
     if (r.has_txn) {
       out << StrFormat(
           ", \"txn_committed\": %llu, \"txn_conflicts\": %llu, "
@@ -274,7 +268,11 @@ Sample RunConfig(Catalog* cat, const Workload& w, int workers,
   return s;
 }
 
-int EnvMaxWorkers(int def = 8) {
+/// The defaults are CI's knobs (bench/check_regression.py's baseline), so a
+/// bare run emits exactly the baseline's row set.
+double BenchSf() { return EnvSf(0.005); }
+
+int EnvMaxWorkers(int def = 4) {
   const char* v = std::getenv("RDB_MAX_WORKERS");
   if (v == nullptr) return def;
   int n = std::atoi(v);
@@ -393,7 +391,7 @@ JsonRow RunPlanCachePhase(Catalog* cat, int workers, int n_queries) {
 /// usable (refreshed) form.
 JsonRow RunMixedDmlPhase(int workers, int n_rounds, int selects_per_round,
                          const std::string& metrics_path) {
-  auto cat = MakeTpchDb(EnvSf());
+  auto cat = MakeTpchDb(BenchSf());
   const size_t base_rows = cat->FindTable("orders")->num_rows();
   QueryService svc(cat.get(), BenchConfig(workers));
   obs::LatencyHistogram* wall = svc.metrics().FindHistogram("query_wall_us");
@@ -553,232 +551,6 @@ JsonRow RunMixedDmlPhase(int workers, int n_rounds, int selects_per_round,
   return row;
 }
 
-/// MVCC ablation: reader latency DURING an in-flight commit, snapshot
-/// reads vs the exclusive-lock baseline. Two sub-runs over identical
-/// private TPC-H copies and identical workloads, differing only in
-/// ServiceConfig::snapshot_reads:
-///
-///   load="snapshot"  — MVCC reads: SELECTs run against the submission-time
-///                      epoch with no update-lock hold, so in-flight commits
-///                      never stall them.
-///   load="exclusive" — the PR 1 baseline: every SELECT registers at the
-///                      update gate and takes a shared hold of the update
-///                      lock, so it queues behind the commit for the rest of
-///                      the hold.
-///
-/// Each timed SELECT is issued while a commit window is HELD OPEN on
-/// another thread (ApplyUpdate with a fixed-length mutator — the stand-in
-/// for a production commit applying a fat delta plus its §6.3 pool
-/// maintenance; at bench scale factors real commits finish in microseconds
-/// and the comparison would drown in scheduler noise). Between iterations a
-/// real autocommit INSERT/DELETE transaction runs, so snapshot epochs bump
-/// and pool entries take the propagate/refresh path exactly as in
-/// production — only the measured window is synthetic, not the churn.
-///
-/// The deliberate consequence: in exclusive mode EVERY sample pays the
-/// remaining hold (a structural floor), while snapshot samples complete in
-/// pool-hit time. The snapshot row carries rel_p99 = exclusive reader p99 /
-/// snapshot reader p99 — a within-run, machine-independent ratio (> 1
-/// means MVCC improves the tail) that check_regression.py gates with a
-/// hard floor of 1.0. Reported qps is reader submissions per second of
-/// phase time; both modes pace on the hold length, so it is a sanity
-/// number, not the headline.
-std::vector<JsonRow> RunMvccMixedPhase(int workers, int n_iters,
-                                       int hold_us) {
-  struct ModeResult {
-    double qps = 0;
-    double hit_ratio = 0;
-    uint64_t pool_hits = 0;
-    uint64_t p50_us = 0;
-    uint64_t p99_us = 0;
-  };
-
-  auto run_mode = [&](bool snapshot_reads) -> ModeResult {
-    auto cat = MakeTpchDb(EnvSf());
-    ServiceConfig cfg = BenchConfig(workers);
-    cfg.snapshot_reads = snapshot_reads;
-    QueryService svc(cat.get(), cfg);
-    Rng rng(snapshot_reads ? 7001 : 7002);
-
-    auto select_sql = [](int i) -> std::string {
-      int y = 1993 + (i % 4);
-      if (i % 2 == 0)
-        return StrFormat(
-            "select count(*) from orders where o_orderdate >= date "
-            "'%d-01-01'",
-            y);
-      return StrFormat(
-          "select sum(o_totalprice) from orders where o_orderdate >= "
-          "date '%d-01-01'",
-          y);
-    };
-
-    // Warm every pattern so the timed window measures steady-state serving,
-    // not compiles or cold pool admissions.
-    Session reader_session;
-    for (int i = 0; i < 8; ++i) {
-      auto r = svc.Submit(Request{select_sql(i), &reader_session, {}})
-                   .future.get();
-      if (!r.ok()) {
-        std::fprintf(stderr, "mvcc warmup failed: %s\n",
-                     r.status().ToString().c_str());
-        std::abort();
-      }
-    }
-    svc.recycler().ResetStats();
-
-    // Real DML churn between measured iterations: autocommit INSERT batches
-    // (insert-only commits -> §6.3 propagation) with a periodic DELETE
-    // sweep (-> invalidation), each bumping the snapshot epoch.
-    Oid key_base = 0;
-    for (Oid k : cat->FindTable("orders")->column(0)->Data<Oid>())
-      key_base = std::max(key_base, k);
-    ++key_base;
-    Oid next_key = key_base;
-    Session writer_session;  // autocommit defaults on
-    int txn = 0;
-    auto churn_once = [&] {
-      std::string stmt;
-      if (++txn % 5 == 0) {
-        stmt = StrFormat("delete from orders where o_orderkey >= %llu",
-                         static_cast<unsigned long long>(key_base));
-      } else {
-        stmt = "insert into orders values ";
-        for (int i = 0; i < 8; ++i) {
-          if (i) stmt += ", ";
-          stmt += StrFormat(
-              "(%llu, %llu, 'O', %.2f, date '%d-%02d-01', '3-MEDIUM', "
-              "'bench dml row')",
-              static_cast<unsigned long long>(next_key++),
-              static_cast<unsigned long long>(rng.Uniform(100)),
-              1000.0 + static_cast<double>(rng.Uniform(5000)),
-              1993 + static_cast<int>(rng.Uniform(4)),
-              1 + static_cast<int>(rng.Uniform(12)));
-        }
-      }
-      Request dreq;
-      dreq.sql = std::move(stmt);
-      dreq.session = &writer_session;
-      auto r = svc.Submit(std::move(dreq)).future.get();
-      if (!r.ok()) {
-        std::fprintf(stderr, "mvcc writer dml failed: %s\n",
-                     r.status().ToString().c_str());
-        std::abort();
-      }
-    };
-
-    // Per-mode repetitions with the MEDIAN-p99 rep kept: the median dodges
-    // a throttled outlier rep without letting a lucky rep (one where
-    // scheduling hid the lock waits) stand in for the mode.
-    std::vector<ModeResult> reps;
-    for (int rep = 0; rep < 3; ++rep) {
-      std::vector<double> lat_us;
-      lat_us.reserve(n_iters);
-      StopWatch sw;
-      for (int k = 0; k < n_iters; ++k) {
-        if (k % 4 == 0) churn_once();
-        // Open a commit window and keep it open; `held` flips once the
-        // mutator is inside the exclusive section, so the SELECT below is
-        // provably issued mid-commit.
-        std::atomic<bool> held{false};
-        std::thread holder([&] {
-          Status st = svc.ApplyUpdate([&](Catalog*) {
-            held.store(true, std::memory_order_release);
-            std::this_thread::sleep_for(std::chrono::microseconds(hold_us));
-            return Status::OK();
-          });
-          if (!st.ok()) {
-            std::fprintf(stderr, "mvcc hold failed: %s\n",
-                         st.ToString().c_str());
-            std::abort();
-          }
-        });
-        while (!held.load(std::memory_order_acquire))
-          std::this_thread::yield();
-        StopWatch one;
-        auto r = svc.Submit(Request{select_sql(k), &reader_session, {}})
-                     .future.get();
-        lat_us.push_back(one.ElapsedSeconds() * 1e6);
-        holder.join();
-        if (!r.ok()) {
-          std::fprintf(stderr, "mvcc reader select failed: %s\n",
-                       r.status().ToString().c_str());
-          std::abort();
-        }
-      }
-      double secs = sw.ElapsedSeconds();
-
-      std::sort(lat_us.begin(), lat_us.end());
-      auto pct = [&](double p) -> uint64_t {
-        if (lat_us.empty()) return 0;
-        size_t idx = static_cast<size_t>(
-            p / 100.0 * static_cast<double>(lat_us.size() - 1));
-        return static_cast<uint64_t>(lat_us[idx]);
-      };
-      ModeResult m;
-      m.qps = static_cast<double>(n_iters) / secs;
-      RecyclerStats rs = svc.recycler().stats();
-      m.hit_ratio =
-          rs.monitored ? static_cast<double>(rs.hits) / rs.monitored : 0.0;
-      m.pool_hits = rs.hits;
-      m.p50_us = pct(50);
-      m.p99_us = pct(99);
-      reps.push_back(m);
-      svc.recycler().ResetStats();
-    }
-    std::sort(reps.begin(), reps.end(),
-              [](const ModeResult& a, const ModeResult& b) {
-                return a.p99_us < b.p99_us;
-              });
-    return reps[reps.size() / 2];
-  };
-
-  ModeResult snap = run_mode(true);
-  ModeResult excl = run_mode(false);
-  double rel_p99 = snap.p99_us > 0
-                       ? static_cast<double>(excl.p99_us) /
-                             static_cast<double>(snap.p99_us)
-                       : 0.0;
-
-  std::printf(
-      "mvcc mixed (%d workers, %d reads mid-commit, %dus commit hold)\n",
-      workers, n_iters, hold_us);
-  std::printf("  snapshot : qps=%.1f p50=%lluus p99=%lluus hit=%.2f\n",
-              snap.qps, static_cast<unsigned long long>(snap.p50_us),
-              static_cast<unsigned long long>(snap.p99_us), snap.hit_ratio);
-  std::printf("  exclusive: qps=%.1f p50=%lluus p99=%lluus hit=%.2f\n",
-              excl.qps, static_cast<unsigned long long>(excl.p50_us),
-              static_cast<unsigned long long>(excl.p99_us), excl.hit_ratio);
-  std::printf("  reader p99 advantage (exclusive/snapshot): %.2fx\n", rel_p99);
-
-  std::vector<JsonRow> rows;
-  JsonRow s;
-  s.phase = "mvcc_mixed";
-  s.load = "snapshot";
-  s.workers = workers;
-  s.qps = snap.qps;
-  s.hit_ratio = snap.hit_ratio;
-  s.pool_hits = snap.pool_hits;
-  s.has_latency = true;
-  s.p50_us = snap.p50_us;
-  s.p99_us = snap.p99_us;
-  s.has_rel_p99 = true;
-  s.rel_p99 = rel_p99;
-  rows.push_back(s);
-  JsonRow e;
-  e.phase = "mvcc_mixed";
-  e.load = "exclusive";
-  e.workers = workers;
-  e.qps = excl.qps;
-  e.hit_ratio = excl.hit_ratio;
-  e.pool_hits = excl.pool_hits;
-  e.has_latency = true;
-  e.p50_us = excl.p50_us;
-  e.p99_us = excl.p99_us;
-  rows.push_back(e);
-  return rows;
-}
-
 /// Transaction-mixed phase: concurrent multi-statement UPDATE transactions
 /// racing over overlapping key bands (BEGIN; UPDATE ...; COMMIT, with a
 /// periodic ROLLBACK) while snapshot SELECT waves read beside them. Under
@@ -791,7 +563,7 @@ std::vector<JsonRow> RunMvccMixedPhase(int workers, int n_iters,
 /// of the pool an update-transaction workload leaves in usable form.
 JsonRow RunTxnMixedPhase(int workers, int n_writers, int rounds,
                          int selects_per_round) {
-  auto cat = MakeTpchDb(EnvSf());
+  auto cat = MakeTpchDb(BenchSf());
   QueryService svc(cat.get(), BenchConfig(workers));
   obs::LatencyHistogram* wall = svc.metrics().FindHistogram("query_wall_us");
   Session select_sess;
@@ -923,13 +695,13 @@ JsonRow RunTxnMixedPhase(int workers, int n_writers, int rounds,
 }
 
 /// Bounded-memory serving: the same hot workload under a FIXED recycle-pool
-/// byte budget in the default kPerStripe governance mode — per-stripe
-/// leases, stripe-local eviction, borrowing through the governor's atomic
-/// ledger. Reported (and gated by check_regression.py): throughput, the
-/// steady-state hit ratio under eviction pressure, and the governance
-/// counters — budget-forced evictions and lease borrows. An admission-path
-/// regression back to the all-stripe lock shows up as a qps collapse; a
-/// governance regression shows up in the counters.
+/// byte budget — per-stripe leases, stripe-local eviction, borrowing
+/// through the governor's atomic ledger. Reported (and gated by
+/// check_regression.py): throughput, the steady-state hit ratio under
+/// eviction pressure, and the governance counters — budget-forced
+/// evictions and lease borrows. An admission-path regression back to the
+/// all-stripe lock shows up as a qps collapse; a governance regression
+/// shows up in the counters.
 JsonRow RunBoundedMemoryPhase(Catalog* cat,
                               const std::vector<tpch::QueryTemplate>& templates,
                               int workers, int n_queries) {
@@ -1015,7 +787,7 @@ JsonRow RunBoundedMemoryEncodedPhase(
     int n_queries) {
   // Private catalog: BuildEncodings attaches sidecars to catalog columns,
   // which must not leak into the other phases' (raw) measurements.
-  auto cat = MakeTpchDb(EnvSf());
+  auto cat = MakeTpchDb(BenchSf());
   Workload w = MakeWorkload("bound", templates, 12, n_queries, 9003);
 
   struct SubRun {
@@ -1512,7 +1284,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  auto cat = MakeTpchDb(EnvSf());
+  auto cat = MakeTpchDb(BenchSf());
   std::vector<tpch::QueryTemplate> templates;
   for (int qn : {4, 11, 12, 18, 19}) templates.push_back(tpch::BuildQuery(qn));
 
@@ -1577,14 +1349,12 @@ int main(int argc, char** argv) {
     rows.push_back(std::move(r));
   rows.push_back(
       RunNetLoopbackPhase(cat.get(), std::min(4, max_workers), 4, 150));
-  for (JsonRow& r : RunMvccMixedPhase(std::min(4, max_workers), 150, 4000))
-    rows.push_back(std::move(r));
   rows.push_back(
       RunTxnMixedPhase(std::min(4, max_workers), /*n_writers=*/3,
                        /*rounds=*/40, /*selects_per_round=*/60));
 
   if (!json_path.empty()) {
-    WriteJson(json_path, EnvSf(), max_workers,
+    WriteJson(json_path, BenchSf(), max_workers,
               BenchConfig(1).recycler.pool_stripes, rows);
     std::printf("wrote %s\n", json_path.c_str());
   }

@@ -30,11 +30,6 @@ regresses beyond tolerance:
               encoded size must fit more working set), and
               encoding_savings_bytes must be positive (the encoding layer
               still produces compressed intermediates).
-  rel_p99     lower bound: exclusive-lock reader p99 over snapshot reader
-              p99 (mvcc_mixed snapshot row); within-run and
-              machine-independent, so always binding. Fails below
-              max(1.0, baseline * (1 - rel-p99 tolerance)) — snapshot
-              reads must keep beating the exclusive-lock baseline.
 
 Rows are keyed by (phase, load, workers) and the key sets must MATCH: a
 baseline row missing from the current run fails (a phase silently stopped
@@ -92,9 +87,6 @@ def main():
                    help="hard rel_qps floor for kernel_* rows (default 1.3): "
                         "vectorised kernels must beat the scalar reference "
                         "by at least this ratio")
-    p.add_argument("--rel-p99-tolerance", type=float, default=0.5,
-                   help="relative rel_p99 tolerance (default 0.5); the "
-                        "floor never drops below 1.0")
     args = p.parse_args()
 
     cur_cfg, current = load_results(args.current)
@@ -276,29 +268,6 @@ def main():
                 failures.append(
                     f"{name}: encoding_savings_bytes is zero — no compressed "
                     f"intermediates reached the pool")
-                status = "FAIL"
-
-        # rel_p99 (mvcc_mixed snapshot row): exclusive-lock reader p99 over
-        # snapshot reader p99 under identical writer churn — a within-run
-        # ratio, binding regardless of hardware. Hard floor 1.0: snapshot
-        # reads must never make the reader tail WORSE than the exclusive
-        # lock; beyond that, the advantage may not collapse relative to the
-        # baseline beyond the (generous — p99 ratios are noisy) tolerance.
-        in_base, in_cur = "rel_p99" in base, "rel_p99" in cur
-        if in_base != in_cur:
-            which = "baseline" if in_cur else "current run"
-            failures.append(
-                f"{name}: 'rel_p99' missing from the {which} — refresh the "
-                f"baseline so the MVCC reader-tail advantage is gated")
-            status = "FAIL"
-        elif in_base:
-            floor = max(1.0, base["rel_p99"] * (1 - args.rel_p99_tolerance))
-            if cur["rel_p99"] < floor:
-                failures.append(
-                    f"{name}: rel_p99 {cur['rel_p99']:.2f} < {floor:.2f} "
-                    f"(baseline {base['rel_p99']:.2f}, floor "
-                    f"max(1.0, baseline - {args.rel_p99_tolerance:.0%})) — "
-                    f"MVCC reader-tail advantage regressed")
                 status = "FAIL"
 
         print(f"  {status:4s} {name}: qps {cur['qps']:.1f} "

@@ -24,11 +24,7 @@ uint64_t TraceResultBytes(const std::vector<MalValue>& results) {
 
 ConcurrentRecycler::ConcurrentRecycler(RecyclerConfig cfg,
                                        ResourceGovernor* governor)
-    : cfg_(cfg),
-      bounded_(cfg.max_entries != 0 || cfg.max_bytes != 0),
-      global_budget_(bounded_ &&
-                     cfg.budget_mode == BudgetMode::kGlobalExact),
-      shared_(cfg.admission, cfg.credits) {
+    : cfg_(cfg), shared_(cfg.admission, cfg.credits) {
   if (cfg_.pool_stripes < 1) cfg_.pool_stripes = 1;
   stripes_.reserve(cfg_.pool_stripes);
   for (size_t i = 0; i < cfg_.pool_stripes; ++i) {
@@ -37,17 +33,10 @@ ConcurrentRecycler::ConcurrentRecycler(RecyclerConfig cfg,
     stripe_index_.emplace(s->core.get(), i);
     stripes_.push_back(std::move(s));
   }
-  if (global_budget_) {
-    // kGlobalExact: every admission path holds ALL stripe locks (see
-    // SessionOnExit/SessionOnEntry), so the delegate may evict across the
-    // whole group — reproducing the unstriped pool's decisions exactly.
-    shared_.ensure_capacity = [this](Recycler* stripe, size_t bytes_needed) {
-      return EnsureCapacityGlobal(stripe, bytes_needed);
-    };
-  } else if (bounded_) {
-    // kPerStripe: the budget lives in a governor domain and each stripe
-    // leases its max/N fair share, so budgeted admission stays on the one
-    // stripe lock and borrows idle capacity through the atomic ledger.
+  if (cfg_.max_entries != 0 || cfg_.max_bytes != 0) {
+    // The budget lives in a governor domain and each stripe leases its max/N
+    // fair share, so budgeted admission stays on the one stripe lock and
+    // borrows idle capacity through the atomic ledger.
     if (governor == nullptr) {
       owned_governor_ = std::make_unique<ResourceGovernor>();
       governor = owned_governor_.get();
@@ -59,7 +48,7 @@ ConcurrentRecycler::ConcurrentRecycler(RecyclerConfig cfg,
     for (size_t i = 0; i < n; ++i) {
       stripes_[i]->lease = pool_domain_->CreateLease(
           "stripe" + std::to_string(i), cfg_.max_bytes / n,
-          cfg_.max_entries / n, cfg_.stripe_borrow);
+          cfg_.max_entries / n);
     }
     shared_.ensure_capacity = [this](Recycler* stripe, size_t bytes_needed) {
       return EnsureCapacityStriped(stripe_index_.at(stripe), bytes_needed);
@@ -158,33 +147,20 @@ bool ConcurrentRecycler::SessionOnEntry(const QueryCtx& ctx,
     }
     // Fast paths still answer the governor: a stripe serving only hits (or
     // misses that never admit) must not trap budget other stripes starve
-    // for. No-op without a kPerStripe budget or pending signal.
+    // for. No-op without a budget or pending signal.
     MaybeServicePressure(si);
     return fast_outcome == 1;
   }
   // Possible subsumption: the DP reads candidate entries and admits the
   // rewritten result, all within this stripe (the stripe key guarantees the
   // candidate set is local). It re-probes from scratch, so a racing
-  // invalidation between the two lock scopes degrades to a miss. Under a
-  // kGlobalExact budget the admission may need to evict in other stripes,
-  // so the whole group is locked (fixed order) instead; a kPerStripe budget
+  // invalidation between the two lock scopes degrades to a miss. A budget
   // charges this stripe's lease and stays local.
-  if (global_budget_) {
-    auto locks = LockAllExclusive();
-    if (trace == nullptr) return s.core->OnEntryCtx(ctx, instr, results);
-    RecyclerStats before = LockedStatsUnsafe(si);
-    size_t bytes_before = LockedBytesUnsafe(si);
-    bool hit = s.core->OnEntryCtx(ctx, instr, results);
-    AppendTraceDelta(trace, instr, si, before, bytes_before,
-                     /*emit_probe=*/true, hit,
-                     hit ? TraceResultBytes(*results) : 0);
-    return hit;
-  }
   std::unique_lock lock(s.mu);
   s.excl_acq.fetch_add(1, std::memory_order_relaxed);
   if (trace == nullptr) return s.core->OnEntryCtx(ctx, instr, results);
-  RecyclerStats before = LockedStatsUnsafe(si);
-  size_t bytes_before = LockedBytesUnsafe(si);
+  RecyclerStats before = s.core->stats();
+  size_t bytes_before = s.core->pool().total_bytes();
   bool hit = s.core->OnEntryCtx(ctx, instr, results);
   AppendTraceDelta(trace, instr, si, before, bytes_before,
                    /*emit_probe=*/true, hit,
@@ -200,61 +176,29 @@ void ConcurrentRecycler::SessionOnExit(const QueryCtx& ctx,
                                        obs::QueryTrace* trace) {
   size_t si = StripeOf(instr.op, *instr.args);
   Stripe& s = *stripes_[si];
-  if (global_budget_) {
-    // Admission under a kGlobalExact byte/entry budget: eviction must see
-    // every stripe, so the whole group is locked in fixed order.
-    auto locks = LockAllExclusive();
-    if (trace == nullptr) {
-      s.core->OnExitCtx(ctx, instr, results, cpu_ms, deps);
-      return;
-    }
-    RecyclerStats before = LockedStatsUnsafe(si);
-    size_t bytes_before = LockedBytesUnsafe(si);
-    s.core->OnExitCtx(ctx, instr, results, cpu_ms, deps);
-    AppendTraceDelta(trace, instr, si, before, bytes_before,
-                     /*emit_probe=*/false, /*hit=*/false,
-                     TraceResultBytes(results));
-    return;
-  }
   std::unique_lock lock(s.mu);
   s.excl_acq.fetch_add(1, std::memory_order_relaxed);
   if (trace == nullptr) {
     s.core->OnExitCtx(ctx, instr, results, cpu_ms, deps);
     return;
   }
-  RecyclerStats before = LockedStatsUnsafe(si);
-  size_t bytes_before = LockedBytesUnsafe(si);
+  RecyclerStats before = s.core->stats();
+  size_t bytes_before = s.core->pool().total_bytes();
   s.core->OnExitCtx(ctx, instr, results, cpu_ms, deps);
   AppendTraceDelta(trace, instr, si, before, bytes_before,
                    /*emit_probe=*/false, /*hit=*/false,
                    TraceResultBytes(results));
 }
 
-RecyclerStats ConcurrentRecycler::LockedStatsUnsafe(size_t stripe_idx) const {
-  // Lock-free reads, safe because the caller holds the exclusive lock of
-  // every stripe the in-flight call can mutate: the single stripe in
-  // kPerStripe mode (admission and eviction stay stripe-local there), the
-  // whole group in kGlobalExact mode.
-  if (!global_budget_) return stripes_[stripe_idx]->core->stats();
-  RecyclerStats out;
-  for (const auto& s : stripes_) out += s->core->stats();
-  return out;
-}
-
-size_t ConcurrentRecycler::LockedBytesUnsafe(size_t stripe_idx) const {
-  if (!global_budget_)
-    return stripes_[stripe_idx]->core->pool().total_bytes();
-  size_t n = 0;
-  for (const auto& s : stripes_) n += s->core->pool().total_bytes();
-  return n;
-}
-
 void ConcurrentRecycler::AppendTraceDelta(
     obs::QueryTrace* trace, const RecyclerHook::InstrView& instr,
     size_t stripe_idx, const RecyclerStats& before, size_t bytes_before,
     bool emit_probe, bool hit, uint64_t hit_bytes) {
-  RecyclerStats after = LockedStatsUnsafe(stripe_idx);
-  size_t bytes_after = LockedBytesUnsafe(stripe_idx);
+  // Lock-free reads, safe because the caller holds the stripe's exclusive
+  // lock and admission/eviction stay stripe-local.
+  const Recycler& core = *stripes_[stripe_idx]->core;
+  RecyclerStats after = core.stats();
+  size_t bytes_after = core.pool().total_bytes();
   int credits = -1;
   if (cfg_.admission != AdmissionKind::kKeepAll)
     credits = shared_.ledger.CreditsLeft(instr.prog->template_id, instr.pc);
@@ -391,9 +335,7 @@ bool ConcurrentRecycler::EnsureCapacityStriped(size_t stripe_idx,
   const uint64_t protected_epoch = cfg_.protect_current_query
                                        ? s.core->ProtectedEpoch()
                                        : UINT64_MAX;
-  auto on_evict = [&s](size_t, const PoolEntry& e) {
-    s.core->NoteEviction(e);
-  };
+  auto on_evict = [&s](const PoolEntry& e) { s.core->NoteEviction(e); };
 
   // Held-above-usage slack (cross-stripe byte releases, admission
   // over-estimates, earlier evictions) is deliberately RETAINED: it covers
@@ -412,8 +354,7 @@ bool ConcurrentRecycler::EnsureCapacityStriped(size_t stripe_idx,
       pool.num_entries() + 1 > lease->held_entries()) {
     if (!lease->TryAcquire(0, 1)) {
       EvictForEntries(&pool, cfg_.eviction, pool.num_entries(), /*need=*/1,
-                      protected_epoch, now_ms,
-                      [&on_evict](const PoolEntry& e) { on_evict(0, e); });
+                      protected_epoch, now_ms, on_evict);
       if (pool.num_entries() + 1 > lease->held_entries()) {
         SyncLease(s);  // admission declined: keep nothing we don't use
         return false;
@@ -435,8 +376,7 @@ bool ConcurrentRecycler::EnsureCapacityStriped(size_t stripe_idx,
       size_t granted = lease->AcquireBytesUpTo(usage + bytes_needed - held);
       if (usage + bytes_needed > held + granted) {
         EvictForMemory(&pool, cfg_.eviction, lease->held_bytes(), bytes_needed,
-                       protected_epoch, now_ms,
-                       [&on_evict](const PoolEntry& e) { on_evict(0, e); });
+                       protected_epoch, now_ms, on_evict);
         if (pool.total_bytes() + bytes_needed > lease->held_bytes()) {
           SyncLease(s);  // admission declined: keep nothing we don't use
           return false;
@@ -448,25 +388,6 @@ bool ConcurrentRecycler::EnsureCapacityStriped(size_t stripe_idx,
     events_->Record(obs::EventKind::kBorrow, static_cast<uint32_t>(stripe_idx),
                     lease->held_bytes(), lease->base_bytes());
   return true;
-}
-
-bool ConcurrentRecycler::EnsureCapacityGlobal(Recycler* admitting,
-                                              size_t bytes_needed) {
-  (void)admitting;  // the budget is global; the admitting stripe is not special
-  uint64_t protected_epoch = cfg_.protect_current_query
-                                 ? stripes_[0]->core->ProtectedEpoch()
-                                 : UINT64_MAX;
-  std::vector<RecyclePool*> pools;
-  pools.reserve(stripes_.size());
-  for (auto& s : stripes_) pools.push_back(&s->core->pool());
-  // Same decision procedure as the unstriped pool, over the union of
-  // stripes; evictions are accounted to the stripe that owned the victim,
-  // so the per-stripe statistics stay meaningful and the roll-up exact.
-  return EnsureCapacityForPools(
-      pools, cfg_.eviction, cfg_.max_entries, cfg_.max_bytes, bytes_needed,
-      protected_epoch, NowMillis(), [this](size_t idx, const PoolEntry& e) {
-        stripes_[idx]->core->NoteEviction(e);
-      });
 }
 
 void ConcurrentRecycler::OnCatalogUpdate(const std::vector<ColumnId>& cols,

@@ -48,20 +48,21 @@ namespace recycledb {
 ///    candidate set): the DP reads candidates, admits the rewritten result
 ///    (same key, same stripe).
 ///  - recycleExit / admission (exclusive lock on the target stripe). Under
-///    a byte/entry budget in the default kPerStripe mode this INCLUDES the
-///    budget enforcement: the stripe charges its governor lease (max/N fair
-///    share, borrowing idle capacity through the atomic ledger) and evicts
-///    within itself only — budgeted admission never leaves the stripe lock.
-///  - Cross-stripe operations — Clear, ResetStats, catalog invalidation,
-///    update propagation, and (in budget_mode = kGlobalExact only) ANY
-///    admission while a byte/entry budget is configured (exact-parity
-///    eviction decisions need the whole pool) — acquire every stripe's lock
-///    in FIXED INDEX ORDER (deadlock-free) and run the unstriped decision
-///    procedure over the union of pools, so a kGlobalExact bounded striped
-///    pool evicts exactly what the unstriped pool would.
+///    a byte/entry budget this INCLUDES the budget enforcement: the stripe
+///    charges its governor lease (max/N fair share, borrowing idle capacity
+///    through the atomic ledger) and evicts within itself only — budgeted
+///    admission never leaves the stripe lock.
+///  - Cross-stripe operations — Clear, ResetStats, catalog invalidation and
+///    update propagation — acquire every stripe's lock in FIXED INDEX ORDER
+///    (deadlock-free).
 ///  - stats()/introspection: per-stripe shared locks, taken one at a time.
 ///
-/// ## Budget governance (kPerStripe)
+/// Victims are chosen stripe-locally, so a bounded pool with N > 1 stripes
+/// may evict differently from an unstriped one; with pool_stripes = 1 the
+/// lease covers the whole budget and decisions match the unstriped pool
+/// exactly.
+///
+/// ## Budget governance
 ///
 /// The byte/entry budget lives in a ResourceGovernor domain ("recycle_pool")
 /// — either a domain of the governor injected at construction (QueryService
@@ -94,8 +95,7 @@ class ConcurrentRecycler {
   /// `governor`, when given, hosts the pool's budget domain (so one
   /// process-wide governor can account the recycle pool and the plan cache
   /// together — QueryService does this); it must outlive the recycler. When
-  /// null and a budget is configured in kPerStripe mode, the recycler owns a
-  /// private governor.
+  /// null and a budget is configured, the recycler owns a private governor.
   explicit ConcurrentRecycler(RecyclerConfig cfg = {},
                               ResourceGovernor* governor = nullptr);
 
@@ -185,9 +185,9 @@ class ConcurrentRecycler {
     uint64_t hits = 0;      ///< exact + subsumed hits resolved in this stripe
     uint64_t admitted = 0;
     uint64_t evicted = 0;
-    // Budget-lease state (kPerStripe budget mode; zero otherwise): the
-    // stripe's fair share, what it currently holds from the governor, and
-    // how often it borrowed beyond the share / shed back down.
+    // Budget-lease state (zero without a budget): the stripe's fair share,
+    // what it currently holds from the governor, and how often it borrowed
+    // beyond the share / shed back down.
     size_t lease_base_bytes = 0;
     size_t lease_held_bytes = 0;
     uint64_t borrows = 0;
@@ -198,15 +198,14 @@ class ConcurrentRecycler {
   size_t num_stripes() const { return stripes_.size(); }
 
   /// Times any operation locked EVERY stripe (Clear/ResetStats, catalog
-  /// invalidation, propagation, and kGlobalExact budgeted admissions). The
-  /// kPerStripe acceptance property is that a budgeted admission-only
-  /// workload leaves this flat.
+  /// invalidation, propagation). Admission never does, so a budgeted
+  /// admission-only workload leaves this flat.
   uint64_t all_stripe_ops() const {
     return all_stripe_ops_.load(std::memory_order_relaxed);
   }
 
   /// The governor hosting this pool's budget domain: the injected one, the
-  /// privately owned one, or null when no kPerStripe budget is configured.
+  /// privately owned one, or null when no budget is configured.
   const ResourceGovernor* governor() const { return governor_; }
 
   /// Attaches a sink for governance events (borrows, pressure sheds, slack
@@ -228,9 +227,9 @@ class ConcurrentRecycler {
   struct Stripe {
     mutable std::shared_mutex mu;
     std::unique_ptr<Recycler> core;
-    /// This stripe's slice of the pool budget (kPerStripe mode; null
-    /// otherwise). Held capacity always covers the stripe's live
-    /// bytes/entries; mutated only under this stripe's exclusive lock.
+    /// This stripe's slice of the pool budget (null without a budget). Held
+    /// capacity always covers the stripe's live bytes/entries; mutated only
+    /// under this stripe's exclusive lock.
     ResourceGovernor::Lease* lease = nullptr;
     // Contention counters.
     std::atomic<uint64_t> excl_acq{0};
@@ -255,21 +254,12 @@ class ConcurrentRecycler {
                      const std::vector<ColumnId>& deps,
                      obs::QueryTrace* trace);
 
-  /// Slow-path trace capture: both run `fn` (the stripe's OnEntryCtx /
-  /// OnExitCtx call) under the already-held exclusive lock(s) and, when
-  /// `trace` is set, diff the reachable core statistics around it to emit
-  /// decision records — the stats deltas are exact because every mutation
-  /// of the call is confined to the locked stripe (kPerStripe) or the
-  /// whole locked group (kGlobalExact).
-  ///
-  /// Returns the summed stats of every stripe the caller holds locked.
-  RecyclerStats LockedStatsUnsafe(size_t stripe_idx) const;
-  /// Same scope as LockedStatsUnsafe, for pool bytes.
-  size_t LockedBytesUnsafe(size_t stripe_idx) const;
   /// Emits decision records for one traced slow-path call from the stats
-  /// delta it left behind. `hit`/`hit_bytes` describe the entry-side
-  /// outcome; pass hit=false, emit_probe=false for the exit side (which
-  /// has no probe outcome of its own).
+  /// delta it left behind on the stripe (`before`/`bytes_before` read under
+  /// the same exclusive lock, which confines every mutation of the call to
+  /// the stripe, so the delta is exact). `hit`/`hit_bytes` describe the
+  /// entry-side outcome; pass hit=false, emit_probe=false for the exit side
+  /// (which has no probe outcome of its own).
   void AppendTraceDelta(obs::QueryTrace* trace,
                         const RecyclerHook::InstrView& instr, size_t stripe_idx,
                         const RecyclerStats& before, size_t bytes_before,
@@ -280,11 +270,8 @@ class ConcurrentRecycler {
   /// nothing). Counts one exclusive acquisition per stripe.
   std::vector<std::unique_lock<std::shared_mutex>> LockAllExclusive();
 
-  /// The kGlobalExact capacity delegate installed into the shared state
-  /// when max_entries/max_bytes are configured. Requires all stripe locks.
-  bool EnsureCapacityGlobal(Recycler* admitting, size_t bytes_needed);
-
-  /// The kPerStripe capacity delegate: charges the stripe's lease, evicts
+  /// The capacity delegate installed into the shared state when
+  /// max_entries/max_bytes are configured: charges the stripe's lease, evicts
   /// stripe-locally on shortfall, honours governor pressure. Requires only
   /// THIS stripe's exclusive lock.
   bool EnsureCapacityStriped(size_t stripe_idx, size_t bytes_needed);
@@ -309,17 +296,9 @@ class ConcurrentRecycler {
   void MaybeServicePressure(size_t stripe_idx);
 
   RecyclerConfig cfg_;
-  /// True when a byte or entry budget is configured. In kGlobalExact mode
-  /// admissions then take every stripe lock so eviction can see (and keep
-  /// exact) the global budget; in kPerStripe mode they stay on the single
-  /// stripe lock and charge the stripe's governor lease instead. Hit and
-  /// miss fast paths stay striped either way.
-  bool bounded_;
-  /// bounded_ && budget_mode == kGlobalExact: the all-stripe admission path.
-  bool global_budget_;
   RecyclerSharedState shared_;
   std::unique_ptr<ResourceGovernor> owned_governor_;  ///< null when injected
-  ResourceGovernor* governor_ = nullptr;  ///< null without a kPerStripe budget
+  ResourceGovernor* governor_ = nullptr;  ///< null without a budget
   ResourceGovernor::Domain* pool_domain_ = nullptr;
   std::vector<std::unique_ptr<Stripe>> stripes_;
   /// Stripe index by core pointer: resolves the shared capacity delegate's

@@ -17,16 +17,6 @@ const char* AdmissionName(AdmissionKind k) {
   return "?";
 }
 
-const char* BudgetModeName(BudgetMode m) {
-  switch (m) {
-    case BudgetMode::kPerStripe:
-      return "PER-STRIPE";
-    case BudgetMode::kGlobalExact:
-      return "GLOBAL-EXACT";
-  }
-  return "?";
-}
-
 const char* EvictionName(EvictionKind k) {
   switch (k) {
     case EvictionKind::kLru:
@@ -114,78 +104,44 @@ double EntryBenefit(const PoolEntry& e, EvictionKind kind, double now_ms) {
 
 namespace {
 
-/// A prospective victim: the pool that owns it (index into the pool set)
-/// plus the entry. Entry ids are only unique within one pool.
-struct Candidate {
-  size_t pool_idx;
-  PoolEntry* entry;
-};
-
-std::vector<Candidate> GatherLeaves(const std::vector<RecyclePool*>& pools,
-                                    uint64_t protected_epoch,
-                                    bool include_protected) {
-  std::vector<Candidate> out;
-  for (size_t p = 0; p < pools.size(); ++p) {
-    for (PoolEntry* e : pools[p]->Leaves(protected_epoch, include_protected))
-      out.push_back({p, e});
-  }
-  return out;
-}
-
-size_t TotalEntries(const std::vector<RecyclePool*>& pools) {
-  size_t n = 0;
-  for (RecyclePool* p : pools) n += p->num_entries();
-  return n;
-}
-
-size_t TotalBytes(const std::vector<RecyclePool*>& pools) {
-  size_t n = 0;
-  for (RecyclePool* p : pools) n += p->total_bytes();
-  return n;
-}
-
-/// Victim selection among the current leaves (union over all pools) for a
-/// single eviction round. Returns victims to evict this round; empty means
-/// nothing evictable. Decisions depend only on entry statistics — the
-/// logical use clock is shared across a striped group, so a striped pool
-/// picks exactly the victims an unstriped pool would.
-std::vector<Candidate> PickRound(const std::vector<RecyclePool*>& pools,
-                                 EvictionKind kind, bool memory_mode,
-                                 size_t amount_needed,
-                                 uint64_t protected_epoch, double now_ms) {
-  std::vector<Candidate> leaves =
-      GatherLeaves(pools, protected_epoch, /*include_protected=*/false);
+/// Victim selection among the pool's current leaves for a single eviction
+/// round. Returns victims to evict this round; empty means nothing
+/// evictable. Decisions depend only on entry statistics.
+std::vector<PoolEntry*> PickRound(RecyclePool* pool, EvictionKind kind,
+                                  bool memory_mode, size_t amount_needed,
+                                  uint64_t protected_epoch, double now_ms) {
+  std::vector<PoolEntry*> leaves =
+      pool->Leaves(protected_epoch, /*include_protected=*/false);
   if (leaves.empty()) {
     // Exception of §4.3: a single query may fill the entire pool, in which
     // case its own intermediates become evictable.
-    leaves = GatherLeaves(pools, protected_epoch, /*include_protected=*/true);
+    leaves = pool->Leaves(protected_epoch, /*include_protected=*/true);
   }
   if (leaves.empty()) return {};
 
   if (!memory_mode) {
     // Entry-count limit: evict exactly one entry per round.
-    const Candidate* victim = nullptr;
+    PoolEntry* victim = nullptr;
     if (kind == EvictionKind::kLru) {
-      for (const Candidate& c : leaves) {
-        if (victim == nullptr ||
-            c.entry->last_use_seq < victim->entry->last_use_seq)
-          victim = &c;
+      for (PoolEntry* e : leaves) {
+        if (victim == nullptr || e->last_use_seq < victim->last_use_seq)
+          victim = e;
       }
     } else {
       double best = std::numeric_limits<double>::max();
-      for (const Candidate& c : leaves) {
-        double b = EntryBenefit(*c.entry, kind, now_ms);
+      for (PoolEntry* e : leaves) {
+        double b = EntryBenefit(*e, kind, now_ms);
         if (b < best) {
           best = b;
-          victim = &c;
+          victim = e;
         }
       }
     }
-    return {*victim};
+    return {victim};
   }
 
   size_t leaf_bytes = 0;
-  for (const Candidate& c : leaves) leaf_bytes += c.entry->owned_bytes;
+  for (const PoolEntry* e : leaves) leaf_bytes += e->owned_bytes;
   if (leaf_bytes <= amount_needed) {
     // Leaves alone cannot free enough: evict them all and let the caller
     // iterate (their parents become leaves).
@@ -194,15 +150,15 @@ std::vector<Candidate> PickRound(const std::vector<RecyclePool*>& pools,
 
   if (kind == EvictionKind::kLru) {
     std::sort(leaves.begin(), leaves.end(),
-              [](const Candidate& a, const Candidate& b) {
-                return a.entry->last_use_seq < b.entry->last_use_seq;
+              [](const PoolEntry* a, const PoolEntry* b) {
+                return a->last_use_seq < b->last_use_seq;
               });
-    std::vector<Candidate> out;
+    std::vector<PoolEntry*> out;
     size_t freed = 0;
-    for (const Candidate& c : leaves) {
+    for (PoolEntry* e : leaves) {
       if (freed >= amount_needed) break;
-      out.push_back(c);
-      freed += c.entry->owned_bytes;
+      out.push_back(e);
+      freed += e->owned_bytes;
     }
     return out;
   }
@@ -211,17 +167,17 @@ std::vector<Candidate> PickRound(const std::vector<RecyclePool*>& pools,
   // fits in capacity = leaf_bytes - needed (complementary knapsack, greedy
   // 1/2-approximation; §4.3).
   size_t capacity = leaf_bytes - amount_needed;
-  std::vector<Candidate> order = leaves;
+  std::vector<PoolEntry*> order = leaves;
   std::sort(order.begin(), order.end(),
-            [&](const Candidate& a, const Candidate& b) {
+            [&](const PoolEntry* a, const PoolEntry* b) {
               // Zero-byte entries always fit; rank by profit density.
-              double da = a.entry->owned_bytes
-                              ? EntryBenefit(*a.entry, kind, now_ms) /
-                                    static_cast<double>(a.entry->owned_bytes)
+              double da = a->owned_bytes
+                              ? EntryBenefit(*a, kind, now_ms) /
+                                    static_cast<double>(a->owned_bytes)
                               : std::numeric_limits<double>::max();
-              double db = b.entry->owned_bytes
-                              ? EntryBenefit(*b.entry, kind, now_ms) /
-                                    static_cast<double>(b.entry->owned_bytes)
+              double db = b->owned_bytes
+                              ? EntryBenefit(*b, kind, now_ms) /
+                                    static_cast<double>(b->owned_bytes)
                               : std::numeric_limits<double>::max();
               return da > db;
             });
@@ -229,18 +185,18 @@ std::vector<Candidate> PickRound(const std::vector<RecyclePool*>& pools,
   size_t used = 0;
   double greedy_profit = 0;
   for (size_t i = 0; i < order.size(); ++i) {
-    if (used + order[i].entry->owned_bytes <= capacity) {
+    if (used + order[i]->owned_bytes <= capacity) {
       keep[i] = true;
-      used += order[i].entry->owned_bytes;
-      greedy_profit += EntryBenefit(*order[i].entry, kind, now_ms);
+      used += order[i]->owned_bytes;
+      greedy_profit += EntryBenefit(*order[i], kind, now_ms);
     }
   }
   // Worst-case guard: compare with keeping only the single best item.
   size_t best_single = SIZE_MAX;
   double best_single_profit = -1;
   for (size_t i = 0; i < order.size(); ++i) {
-    if (order[i].entry->owned_bytes <= capacity) {
-      double p = EntryBenefit(*order[i].entry, kind, now_ms);
+    if (order[i]->owned_bytes <= capacity) {
+      double p = EntryBenefit(*order[i], kind, now_ms);
       if (p > best_single_profit) {
         best_single_profit = p;
         best_single = i;
@@ -251,18 +207,18 @@ std::vector<Candidate> PickRound(const std::vector<RecyclePool*>& pools,
     std::fill(keep.begin(), keep.end(), false);
     keep[best_single] = true;
   }
-  std::vector<Candidate> out;
+  std::vector<PoolEntry*> out;
   for (size_t i = 0; i < order.size(); ++i) {
     if (!keep[i]) out.push_back(order[i]);
   }
   return out;
 }
 
-void EvictRound(const std::vector<RecyclePool*>& pools,
-                const std::vector<Candidate>& round, size_t* evicted,
-                const std::function<void(size_t, const PoolEntry&)>& on_evict) {
-  for (const Candidate& c : round) {
-    PoolEntry* e = pools[c.pool_idx]->Get(c.entry->id);
+void EvictRound(RecyclePool* pool, const std::vector<PoolEntry*>& round,
+                size_t* evicted,
+                const std::function<void(const PoolEntry&)>& on_evict) {
+  for (const PoolEntry* victim : round) {
+    PoolEntry* e = pool->Get(victim->id);
     if (e == nullptr) continue;
     // Stripe-local eviction runs without the other stripes' locks, so a
     // concurrent admission elsewhere may have re-parented this victim (the
@@ -272,53 +228,24 @@ void EvictRound(const std::vector<RecyclePool*>& pools,
     // just-re-parented entry is benign — results live by shared_ptr and
     // every dependent-bookkeeping decrement is defensive.
     if (!e->IsLeaf()) continue;
-    on_evict(c.pool_idx, *e);
-    pools[c.pool_idx]->Remove(e->id, /*force=*/true);
+    on_evict(*e);
+    pool->Remove(e->id, /*force=*/true);
     ++(*evicted);
   }
 }
 
 }  // namespace
 
-size_t EvictForEntries(
-    const std::vector<RecyclePool*>& pools, EvictionKind kind,
-    size_t max_entries, size_t need, uint64_t protected_epoch, double now_ms,
-    const std::function<void(size_t, const PoolEntry&)>& on_evict) {
-  size_t evicted = 0;
-  while (TotalEntries(pools) + need > max_entries) {
-    std::vector<Candidate> round = PickRound(
-        pools, kind, /*memory_mode=*/false, 0, protected_epoch, now_ms);
-    if (round.empty()) break;
-    EvictRound(pools, round, &evicted, on_evict);
-  }
-  return evicted;
-}
-
 size_t EvictForEntries(RecyclePool* pool, EvictionKind kind,
                        size_t max_entries, size_t need,
                        uint64_t protected_epoch, double now_ms,
                        const std::function<void(const PoolEntry&)>& on_evict) {
-  return EvictForEntries(
-      std::vector<RecyclePool*>{pool}, kind, max_entries, need,
-      protected_epoch, now_ms,
-      [&on_evict](size_t, const PoolEntry& e) { on_evict(e); });
-}
-
-size_t EvictForMemory(
-    const std::vector<RecyclePool*>& pools, EvictionKind kind,
-    size_t max_bytes, size_t bytes_needed, uint64_t protected_epoch,
-    double now_ms,
-    const std::function<void(size_t, const PoolEntry&)>& on_evict) {
   size_t evicted = 0;
-  // Iterate: each round evicts among current leaves; parents surface as new
-  // leaves in the next round.
-  while (TotalBytes(pools) + bytes_needed > max_bytes &&
-         TotalEntries(pools) > 0) {
-    size_t excess = TotalBytes(pools) + bytes_needed - max_bytes;
-    std::vector<Candidate> round = PickRound(
-        pools, kind, /*memory_mode=*/true, excess, protected_epoch, now_ms);
+  while (pool->num_entries() + need > max_entries) {
+    std::vector<PoolEntry*> round = PickRound(
+        pool, kind, /*memory_mode=*/false, 0, protected_epoch, now_ms);
     if (round.empty()) break;
-    EvictRound(pools, round, &evicted, on_evict);
+    EvictRound(pool, round, &evicted, on_evict);
   }
   return evicted;
 }
@@ -327,29 +254,36 @@ size_t EvictForMemory(RecyclePool* pool, EvictionKind kind, size_t max_bytes,
                       size_t bytes_needed, uint64_t protected_epoch,
                       double now_ms,
                       const std::function<void(const PoolEntry&)>& on_evict) {
-  return EvictForMemory(
-      std::vector<RecyclePool*>{pool}, kind, max_bytes, bytes_needed,
-      protected_epoch, now_ms,
-      [&on_evict](size_t, const PoolEntry& e) { on_evict(e); });
+  size_t evicted = 0;
+  // Iterate: each round evicts among current leaves; parents surface as new
+  // leaves in the next round.
+  while (pool->total_bytes() + bytes_needed > max_bytes &&
+         pool->num_entries() > 0) {
+    size_t excess = pool->total_bytes() + bytes_needed - max_bytes;
+    std::vector<PoolEntry*> round = PickRound(
+        pool, kind, /*memory_mode=*/true, excess, protected_epoch, now_ms);
+    if (round.empty()) break;
+    EvictRound(pool, round, &evicted, on_evict);
+  }
+  return evicted;
 }
 
-bool EnsureCapacityForPools(
-    const std::vector<RecyclePool*>& pools, EvictionKind kind,
-    size_t max_entries, size_t max_bytes, size_t bytes_needed,
-    uint64_t protected_epoch, double now_ms,
-    const std::function<void(size_t, const PoolEntry&)>& on_evict) {
+bool EnsureCapacityForPool(
+    RecyclePool* pool, EvictionKind kind, size_t max_entries,
+    size_t max_bytes, size_t bytes_needed, uint64_t protected_epoch,
+    double now_ms, const std::function<void(const PoolEntry&)>& on_evict) {
   if (max_entries != 0) {
-    EvictForEntries(pools, kind, max_entries, 1, protected_epoch, now_ms,
+    EvictForEntries(pool, kind, max_entries, 1, protected_epoch, now_ms,
                     on_evict);
-    if (TotalEntries(pools) + 1 > max_entries) return false;
+    if (pool->num_entries() + 1 > max_entries) return false;
   }
   if (max_bytes != 0) {
     if (bytes_needed > max_bytes) return false;
-    if (TotalBytes(pools) + bytes_needed > max_bytes) {
-      EvictForMemory(pools, kind, max_bytes, bytes_needed, protected_epoch,
+    if (pool->total_bytes() + bytes_needed > max_bytes) {
+      EvictForMemory(pool, kind, max_bytes, bytes_needed, protected_epoch,
                      now_ms, on_evict);
     }
-    if (TotalBytes(pools) + bytes_needed > max_bytes) return false;
+    if (pool->total_bytes() + bytes_needed > max_bytes) return false;
   }
   return true;
 }

@@ -26,24 +26,8 @@ enum class EvictionKind {
   kHistory,  ///< benefit aged by lifetime                     (Eq. 3)
 };
 
-/// How a striped pool enforces its byte/entry budget (ConcurrentRecycler;
-/// a standalone Recycler has one pool and the distinction collapses).
-enum class BudgetMode {
-  /// Stripe-local admission: each stripe charges a governor lease (its
-  /// max/N fair share, borrowing idle stripes' capacity through the atomic
-  /// ledger) and evicts only within itself. Admission under a budget takes
-  /// ONE stripe lock — the scalable default. Decisions may differ from the
-  /// unstriped pool (victims are chosen stripe-locally).
-  kPerStripe,
-  /// Every budgeted admission locks all stripes in fixed order and runs the
-  /// unstriped decision procedure over the union of pools: exact decision
-  /// parity with a single pool, at the cost of serialising admissions.
-  kGlobalExact,
-};
-
 const char* AdmissionName(AdmissionKind k);
 const char* EvictionName(EvictionKind k);
-const char* BudgetModeName(BudgetMode m);
 
 /// Per-source-instruction credit ledger. A "source instruction" is a static
 /// instruction of a query template, keyed by (template id, pc). Credits are
@@ -97,19 +81,6 @@ class CreditLedger {
 /// concurrent queries — unless the protected entries fill the pool.
 /// `on_evict` fires for every victim before removal.
 /// Returns the number of entries evicted.
-///
-/// The multi-pool overloads treat `pools` as ONE logical pool (the striped
-/// recycler's global byte/entry budget): limits apply to the sum over all
-/// pools, victims are picked among the union of leaves, and the callback
-/// receives the index of the pool that owned the victim. Entry ids are only
-/// unique within one pool, which is why victims are (pool, id) pairs
-/// internally. The single-pool overloads are thin wrappers, so striped and
-/// unstriped eviction share one decision procedure — the parity guarantee.
-size_t EvictForEntries(
-    const std::vector<RecyclePool*>& pools, EvictionKind kind,
-    size_t max_entries, size_t need, uint64_t protected_epoch, double now_ms,
-    const std::function<void(size_t, const PoolEntry&)>& on_evict);
-
 size_t EvictForEntries(RecyclePool* pool, EvictionKind kind,
                        size_t max_entries, size_t need,
                        uint64_t protected_epoch, double now_ms,
@@ -119,29 +90,21 @@ size_t EvictForEntries(RecyclePool* pool, EvictionKind kind,
 /// benefit/history policies this solves the complementary binary-knapsack
 /// problem with the greedy 1/2-approximation of §4.3 (items in decreasing
 /// profit-per-byte order, compared against the best single item).
-size_t EvictForMemory(
-    const std::vector<RecyclePool*>& pools, EvictionKind kind,
-    size_t max_bytes, size_t bytes_needed, uint64_t protected_epoch,
-    double now_ms,
-    const std::function<void(size_t, const PoolEntry&)>& on_evict);
-
 size_t EvictForMemory(RecyclePool* pool, EvictionKind kind, size_t max_bytes,
                       size_t bytes_needed, uint64_t protected_epoch,
                       double now_ms,
                       const std::function<void(const PoolEntry&)>& on_evict);
 
-/// The full budget-enforcement decision for one admission: evict under the
-/// entry budget, reject oversize results, evict under the byte budget, and
-/// re-check; returns false when the admission must be declined. A zero
-/// limit means unlimited. This is THE single decision procedure — the
-/// unstriped recycler calls it with its one pool and the striped group with
-/// every stripe's pool — which is what makes striped and unstriped
-/// admission/eviction decisions provably identical.
-bool EnsureCapacityForPools(
-    const std::vector<RecyclePool*>& pools, EvictionKind kind,
-    size_t max_entries, size_t max_bytes, size_t bytes_needed,
-    uint64_t protected_epoch, double now_ms,
-    const std::function<void(size_t, const PoolEntry&)>& on_evict);
+/// The full budget-enforcement decision for one admission into an unstriped
+/// pool: evict under the entry budget, reject oversize results, evict under
+/// the byte budget, and re-check; returns false when the admission must be
+/// declined. A zero limit means unlimited. (A striped pool charges each
+/// stripe's governor lease instead and calls the two eviction procedures
+/// above on the stripe's own pool.)
+bool EnsureCapacityForPool(
+    RecyclePool* pool, EvictionKind kind, size_t max_entries,
+    size_t max_bytes, size_t bytes_needed, uint64_t protected_epoch,
+    double now_ms, const std::function<void(const PoolEntry&)>& on_evict);
 
 /// B(I) under the given policy (Eqs. 1-3). Exposed for tests and benches.
 double EntryBenefit(const PoolEntry& e, EvictionKind kind, double now_ms);

@@ -88,8 +88,7 @@ struct PoolEntry {
   /// Pool entries consuming my results. Atomic because in a STRIPED pool an
   /// admission in one stripe adds a lineage/borrow edge onto a producer that
   /// may live in another stripe, without that stripe's lock. Leaf tests for
-  /// eviction read it under all stripe locks (kGlobalExact) or under just
-  /// their own stripe's lock (kPerStripe) — in the latter case the count is
+  /// eviction read it under just their own stripe's lock, so the count is
   /// advisory: a concurrent re-parenting can land after the test, which the
   /// eviction path tolerates (see EvictRound in policies.cc).
   std::atomic<int> children{0};
@@ -163,10 +162,10 @@ class RecyclePool;
 /// stored here stay valid under concurrent striped use: every pointer to an
 /// entry is scrubbed from these maps (UnindexEntry, under the mutex) BEFORE
 /// the entry is freed, so a holder of the mutex either finds the entry
-/// while it is still alive or does not find it at all. Invalidation, Clear
-/// and kGlobalExact eviction additionally hold every stripe lock;
-/// kPerStripe eviction removes entries under just the owning stripe's lock,
-/// which the scrub-before-free protocol makes safe.
+/// while it is still alive or does not find it at all. Invalidation and
+/// Clear additionally hold every stripe lock; eviction removes entries
+/// under just the owning stripe's lock, which the scrub-before-free
+/// protocol makes safe.
 struct PoolSharedState {
   struct ColTrack {
     PoolEntry* owner;         ///< nulled when the owning entry is removed

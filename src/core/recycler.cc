@@ -18,9 +18,7 @@ Recycler::Recycler(RecyclerConfig cfg, RecyclerSharedState* shared)
       shared_(shared == nullptr ? owned_shared_.get() : shared),
       pool_(&shared_->pool_shared),
       subsume_(&pool_, SubsumptionEngine::Options{
-                           cfg.enable_combined_subsumption,
-                           cfg.combined_max_candidates,
-                           cfg.combined_overhead_rows}) {}
+                           cfg.enable_combined_subsumption}) {}
 
 QueryCtx Recycler::BeginQueryCtx(const Program& prog) {
   (void)prog;
@@ -312,18 +310,16 @@ void Recycler::NoteEviction(const PoolEntry& e) {
 }
 
 bool Recycler::EnsureCapacity(size_t bytes_needed) {
-  // Striped mode with a budget: the owner enforces the limit — either
-  // globally across all stripes (kGlobalExact, every stripe lock held) or
-  // against this stripe's governor lease (kPerStripe, only this stripe's
-  // lock held).
+  // Striped mode with a budget: the owner enforces the limit against this
+  // stripe's governor lease (only this stripe's lock held).
   if (shared_->ensure_capacity) return shared_->ensure_capacity(this, bytes_needed);
 
   uint64_t protected_epoch =
       cfg_.protect_current_query ? ProtectedEpoch() : UINT64_MAX;
-  return EnsureCapacityForPools(
-      {&pool_}, cfg_.eviction, cfg_.max_entries, cfg_.max_bytes, bytes_needed,
+  return EnsureCapacityForPool(
+      &pool_, cfg_.eviction, cfg_.max_entries, cfg_.max_bytes, bytes_needed,
       protected_epoch, NowMillis(),
-      [this](size_t, const PoolEntry& e) { NoteEviction(e); });
+      [this](const PoolEntry& e) { NoteEviction(e); });
 }
 
 uint64_t Recycler::ValidFromFor(const std::vector<ColumnId>& deps) const {

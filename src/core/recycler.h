@@ -27,25 +27,17 @@ struct RecyclerConfig {
   int credits = 5;  ///< initial credits for CREDIT / ADAPT
 
   EvictionKind eviction = EvictionKind::kLru;
-  size_t max_entries = 0;  ///< recycle-pool entry limit; 0 = unlimited
-  size_t max_bytes = 0;    ///< recycle-pool memory limit; 0 = unlimited
-
-  /// How a STRIPED pool enforces the budget above. kPerStripe (default)
+  /// Recycle-pool entry and memory limits; 0 = unlimited. A STRIPED pool
   /// leases each stripe max/N through the resource governor and admits with
   /// stripe-local eviction — no all-stripe lock on the admission path, with
   /// borrow/rebalance through the governor's atomic ledger when one stripe
-  /// runs hot. kGlobalExact reproduces the unstriped pool's decisions
-  /// exactly by locking every stripe for each budgeted admission (the
-  /// parity-test mode). Ignored by a standalone Recycler.
-  BudgetMode budget_mode = BudgetMode::kPerStripe;
-  /// kPerStripe only: let a hot stripe borrow idle stripes' unused budget
-  /// share. Clearing it hard-caps every stripe at max/N (ablation knob).
-  bool stripe_borrow = true;
+  /// runs hot. With pool_stripes = 1 its decisions match a standalone
+  /// Recycler's (tests/striped_recycler_test.cc).
+  size_t max_entries = 0;
+  size_t max_bytes = 0;
 
   bool enable_subsumption = true;
   bool enable_combined_subsumption = true;
-  size_t combined_max_candidates = 16;
-  size_t combined_overhead_rows = 16;
 
   /// Lock stripes of the shared pool (ConcurrentRecycler only; a standalone
   /// Recycler has no locks). Admission/eviction/subsumption in different
@@ -156,11 +148,9 @@ struct RecyclerSharedState {
   std::map<ColumnId, uint64_t> col_epochs;
 
   /// Capacity delegate. When set (striped mode with a byte/entry budget),
-  /// admissions call this instead of the private-pool EnsureCapacity. In
-  /// kGlobalExact mode it evicts against the GLOBAL budget and the owner
-  /// guarantees every admission path holds all stripe locks (fixed index
-  /// order); in kPerStripe mode it charges the admitting stripe's governor
-  /// lease and only that stripe's lock is held.
+  /// admissions call this instead of the private-pool EnsureCapacity: it
+  /// charges the admitting stripe's governor lease and evicts within that
+  /// stripe, whose exclusive lock is the only one held.
   std::function<bool(Recycler* stripe, size_t bytes_needed)> ensure_capacity;
 };
 

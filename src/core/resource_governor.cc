@@ -30,10 +30,10 @@ void ResourceGovernor::Domain::GiveBack(std::atomic<size_t>* free,
 }
 
 ResourceGovernor::Lease* ResourceGovernor::Domain::CreateLease(
-    std::string name, size_t base_bytes, size_t base_entries, bool may_borrow) {
+    std::string name, size_t base_bytes, size_t base_entries) {
   std::lock_guard<std::mutex> lock(lease_mu_);
-  leases_.push_back(std::unique_ptr<Lease>(new Lease(
-      this, std::move(name), base_bytes, base_entries, may_borrow)));
+  leases_.push_back(std::unique_ptr<Lease>(
+      new Lease(this, std::move(name), base_bytes, base_entries)));
   return leases_.back().get();
 }
 
@@ -69,13 +69,6 @@ bool ResourceGovernor::Lease::TryAcquire(size_t bytes, size_t entries) {
   const bool entries_limited = domain_->cfg_.max_entries != 0;
   const size_t hb = held_bytes_.load(std::memory_order_relaxed);
   const size_t he = held_entries_.load(std::memory_order_relaxed);
-  if (!may_borrow_) {
-    if ((bytes_limited && hb + bytes > base_bytes_) ||
-        (entries_limited && he + entries > base_entries_)) {
-      denied_.fetch_add(1, std::memory_order_relaxed);
-      return false;
-    }
-  }
   size_t got_entries =
       entries_limited ? Domain::TakeUpTo(&domain_->free_entries_, entries)
                       : entries;
@@ -111,11 +104,8 @@ size_t ResourceGovernor::Lease::AcquireBytesUpTo(size_t want) {
   if (want == 0) return 0;
   const bool limited = domain_->cfg_.max_bytes != 0;
   const size_t hb = held_bytes_.load(std::memory_order_relaxed);
-  size_t cap = want;
-  if (!may_borrow_ && limited)
-    cap = hb < base_bytes_ ? std::min(want, base_bytes_ - hb) : 0;
   size_t granted =
-      limited ? Domain::TakeUpTo(&domain_->free_bytes_, cap) : cap;
+      limited ? Domain::TakeUpTo(&domain_->free_bytes_, want) : want;
   if (granted < want) {
     denied_.fetch_add(1, std::memory_order_relaxed);
     domain_->RaiseSlackRequest();
@@ -144,7 +134,6 @@ void ResourceGovernor::Lease::Release(size_t bytes, size_t entries) {
 }
 
 bool ResourceGovernor::Lease::SeesPressure() {
-  if (!may_borrow_) return false;  // never holds beyond base: nothing to shed
   uint64_t epoch = domain_->pressure_epoch_.load(std::memory_order_relaxed);
   if (epoch == last_pressure_seen_.load(std::memory_order_relaxed))
     return false;
@@ -154,7 +143,6 @@ bool ResourceGovernor::Lease::SeesPressure() {
 }
 
 bool ResourceGovernor::Lease::PeekPressure() const {
-  if (!may_borrow_) return false;
   if (domain_->pressure_epoch_.load(std::memory_order_relaxed) ==
       last_pressure_seen_.load(std::memory_order_relaxed))
     return false;

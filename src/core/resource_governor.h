@@ -28,9 +28,7 @@ namespace recycledb {
 /// A lease's `held` capacity is what the ledger has granted it; the consumer
 /// guarantees its live usage never exceeds `held` (acquire BEFORE admitting,
 /// release AFTER freeing). `base` is the lease's fair share of the domain —
-/// holding beyond it is *borrowing*, tracked by the borrow counters and
-/// disallowed when the lease was created with `may_borrow = false` (the
-/// ablation mode: every consumer hard-capped at its share).
+/// holding beyond it is *borrowing*, tracked by the borrow counters.
 ///
 /// Because leases acquire on demand starting from zero, an idle consumer's
 /// unused share sits in the domain's free ledger where loaded consumers can
@@ -71,11 +69,11 @@ class ResourceGovernor {
    public:
     /// All-or-nothing: raises `held` by (bytes, entries) from the domain's
     /// free ledger. Fails — without partial effect — when the ledger cannot
-    /// cover it or when a non-borrowing lease would exceed its base share.
+    /// cover it.
     bool TryAcquire(size_t bytes, size_t entries);
 
-    /// Partial byte acquisition: grants min(want, available) respecting the
-    /// base cap of non-borrowing leases; returns the granted amount.
+    /// Partial byte acquisition: grants min(want, available); returns the
+    /// granted amount.
     size_t AcquireBytesUpTo(size_t want);
 
     /// Returns capacity to the domain's free ledger. Clamped to `held` —
@@ -84,8 +82,7 @@ class ResourceGovernor {
 
     /// True once per domain pressure epoch, and only while this lease holds
     /// beyond its base share: the caller should shed down to base and then
-    /// NoteRebalance(). Borrow-disabled leases never see pressure (they can
-    /// never hold beyond base).
+    /// NoteRebalance().
     bool SeesPressure();
 
     /// Non-consuming preview of SeesPressure (for cheap checks on paths
@@ -128,18 +125,16 @@ class ResourceGovernor {
    private:
     friend class Domain;
     Lease(Domain* domain, std::string name, size_t base_bytes,
-          size_t base_entries, bool may_borrow)
+          size_t base_entries)
         : domain_(domain),
           name_(std::move(name)),
           base_bytes_(base_bytes),
-          base_entries_(base_entries),
-          may_borrow_(may_borrow) {}
+          base_entries_(base_entries) {}
 
     Domain* domain_;
     std::string name_;
     size_t base_bytes_;
     size_t base_entries_;
-    bool may_borrow_;
     std::atomic<size_t> held_bytes_{0};
     std::atomic<size_t> held_entries_{0};
     std::atomic<uint64_t> last_pressure_seen_{0};
@@ -177,11 +172,11 @@ class ResourceGovernor {
     Domain(std::string name, DomainConfig cfg);
 
     /// Carves a lease out of this domain. `base_*` is the lease's fair share
-    /// (pure accounting — nothing is reserved); `may_borrow` allows holding
-    /// beyond it. Thread-safe; the returned pointer lives as long as the
-    /// governor.
-    Lease* CreateLease(std::string name, size_t base_bytes, size_t base_entries,
-                       bool may_borrow = true);
+    /// (pure accounting — nothing is reserved); the lease may borrow beyond
+    /// it while the ledger has capacity. Thread-safe; the returned pointer
+    /// lives as long as the governor.
+    Lease* CreateLease(std::string name, size_t base_bytes,
+                       size_t base_entries);
 
     size_t max_bytes() const { return cfg_.max_bytes; }
     size_t max_entries() const { return cfg_.max_entries; }

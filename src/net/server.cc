@@ -418,11 +418,10 @@ void RecycleServer::HandleFrame(Conn* conn, Frame frame) {
                     : hello.value().max_version;
     w.max_inflight = cfg_.max_inflight_per_conn;
     // Advertise MVCC snapshot reads so clients know SELECTs never serialise
-    // against (or observe) concurrent commits.
-    const uint8_t wflags =
-        svc_->config().snapshot_reads ? kWelcomeFlagSnapshotReads : 0;
+    // against (or observe) concurrent commits. Every query runs on a
+    // snapshot, so the bit is always set.
     SendFrame(conn, FrameKind::kWelcome, frame.request_id, EncodeWelcome(w),
-              wflags);
+              kWelcomeFlagSnapshotReads);
     return;
   }
 

@@ -133,28 +133,19 @@ QueryService::QueryService(Catalog* catalog, ServiceConfig cfg)
     events_.Record(obs::EventKind::kEpochBump, 0, new_epoch, cols.size());
     // Plans survive data commits: a compiled statement binds tables by name
     // at run time, so new rows only move the epoch its next execution reads
-    // under — eviction (and the recompile stall behind the update gate it
-    // forces on every later submission) is reserved for schema changes,
-    // where the cached Program is structurally stale. This is the
-    // plan-cache half of epoch tagging; even with the recycler off, schema
-    // changes must still evict.
+    // under — eviction (and the recompile it forces on every later
+    // submission) is reserved for schema changes, where the cached Program
+    // is structurally stale. This is the plan-cache half of epoch tagging.
     if (kind == Catalog::UpdateKind::kSchema) plan_cache_.Invalidate(cols);
-    if (!cfg_.enable_recycler) {
-      events_.Record(obs::EventKind::kInvalidate, 0, 0, cols.size());
-      return;
-    }
-    // Events report the path maintenance ACTUALLY took, not the configured
-    // preference: PropagateUpdate falls back to invalidation for delete
-    // commits, so the split is read off the recycler's counters. `a` = pool
-    // entries affected, `b` = columns in the commit; a commit that touched
-    // no pool entries still records an invalidate event (a=0) so every
-    // commit is visible in the ring.
+    // §6.3: tables whose commit was insert-only refresh their matching
+    // select-over-bind pool entries from the delta; every other commit falls
+    // back to column-wise invalidation. Events report the path maintenance
+    // ACTUALLY took, read off the recycler's counters. `a` = pool entries
+    // affected, `b` = columns in the commit; a commit that touched no pool
+    // entries still records an invalidate event (a=0) so every commit is
+    // visible in the ring.
     RecyclerStats before = recycler_.stats();
-    if (cfg_.propagate_updates) {
-      recycler_.PropagateUpdate(catalog_, cols, new_epoch);
-    } else {
-      recycler_.OnCatalogUpdate(cols, new_epoch);
-    }
+    recycler_.PropagateUpdate(catalog_, cols, new_epoch);
     RecyclerStats after = recycler_.stats();
     const uint64_t prop = after.propagated - before.propagated;
     const uint64_t inv = after.invalidated - before.invalidated;
@@ -189,6 +180,8 @@ std::future<Result<QueryResult>> QueryService::Submit(
   t.prog = prog;
   t.params = std::move(params);
   t.trace = MaybeTrace(prog->name, /*forced=*/false);
+  t.snapshot = catalog_->Snapshot();
+  c_epoch_pins_->Add(1);
   return Enqueue(std::move(t));
 }
 
@@ -289,31 +282,24 @@ void QueryService::RouteStatement(const std::string& text, Session* session,
   // own view wins — the begin snapshot, overlaid with the private write set
   // once it is non-empty (read-your-own-writes, invisible to every other
   // session). Otherwise the session's pinned snapshot (repeatable reads),
-  // else the newest published epoch. kLatest consistency — or the
-  // service-wide ablation knob — keeps the legacy shared-lock path.
+  // else the newest published epoch.
   CatalogSnapshotPtr snapshot;
   bool no_recycle = false;
-  if (cfg_.snapshot_reads && options.consistency == Consistency::kSnapshot) {
-    if (session->in_txn()) {
-      // Overlay construction reads catalog metadata, so take the same
-      // shared hold compilation uses; the hold is released before the
-      // query runs (the overlay is immutable once built).
-      WaitForUpdateGate();
-      std::shared_lock<std::shared_mutex> lock(update_mu_);
-      auto snap = TxnSnapshot(session, &no_recycle);
-      if (!snap.ok()) return fail(snap.status());
-      snapshot = std::move(snap).value();
-    }
-    if (snapshot == nullptr) {
-      snapshot = session->pinned();
-      if (snapshot == nullptr) snapshot = catalog_->Snapshot();
-    }
-    c_epoch_pins_->Add(1);
+  if (session->in_txn()) {
+    // Overlay construction reads catalog metadata, so take the same shared
+    // hold compilation uses; the hold is released before the query runs
+    // (the overlay is immutable once built).
+    std::shared_lock<std::shared_mutex> lock(update_mu_);
+    auto snap = TxnSnapshot(session, &no_recycle);
+    if (!snap.ok()) return fail(snap.status());
+    snapshot = std::move(snap).value();
   }
-  if (handle_out != nullptr) {
-    handle_out->snapshot_epoch =
-        snapshot != nullptr ? snapshot->epoch() : catalog_->epoch();
+  if (snapshot == nullptr) {
+    snapshot = session->pinned();
+    if (snapshot == nullptr) snapshot = catalog_->Snapshot();
   }
+  c_epoch_pins_->Add(1);
+  if (handle_out != nullptr) handle_out->snapshot_epoch = snapshot->epoch();
 
   const sql::SelectStmt& stmt = parsed.value().select;
   std::string fp = sql::Fingerprint(stmt);
@@ -350,12 +336,11 @@ void QueryService::RouteStatement(const std::string& text, Session* session,
     }
   }
   if (entry == nullptr) {
-    // Compilation reads catalog metadata, so it takes the same shared hold
-    // legacy queries execute under; a commit can therefore not change the
-    // schema mid-compile. The hold is released before enqueueing — a plan
-    // that a later commit invalidates stays executable (binds resolve by
-    // name at run time; a dropped table surfaces as a clean NotFound).
-    WaitForUpdateGate();
+    // Compilation reads catalog metadata, so it takes a shared hold of the
+    // update lock; a commit can therefore not change the schema mid-compile.
+    // The hold is released before enqueueing — a plan that a later commit
+    // invalidates stays executable (binds resolve by name at run time; a
+    // dropped table surfaces as a clean NotFound).
     std::shared_lock<std::shared_mutex> lock(update_mu_);
     std::vector<Scalar> own;
     StopWatch compile_sw;
@@ -492,7 +477,6 @@ Result<QueryResult> QueryService::ExecuteDml(const sql::Statement& stmt,
     // exclusion. Victim scans read the transaction's overlay (begin
     // snapshot + write set) so repeated statements see their own effects;
     // an untouched write set short-circuits to the begin snapshot itself.
-    WaitForUpdateGate();
     std::shared_lock<std::shared_mutex> lock(update_mu_);
     Status st = Status::OK();
     session->WithTxn([&](Session::Txn* t) {
@@ -690,21 +674,8 @@ std::vector<Result<QueryResult>> QueryService::RunBatch(
 
 Status QueryService::ApplyUpdate(
     const std::function<Status(Catalog*)>& mutator) {
-  {
-    std::lock_guard<std::mutex> gate(gate_mu_);
-    ++updates_waiting_;
-  }
-  Status st;
-  {
-    std::unique_lock<std::shared_mutex> lock(update_mu_);
-    st = mutator(catalog_);
-  }
-  {
-    std::lock_guard<std::mutex> gate(gate_mu_);
-    --updates_waiting_;
-  }
-  gate_cv_.notify_all();
-  return st;
+  std::unique_lock<std::shared_mutex> lock(update_mu_);
+  return mutator(catalog_);
 }
 
 void QueryService::Drain() {
@@ -805,19 +776,14 @@ std::vector<std::shared_ptr<const obs::QueryTrace>> QueryService::RecentTraces()
   return {recent_traces_.begin(), recent_traces_.end()};
 }
 
-void QueryService::WaitForUpdateGate() {
-  std::unique_lock<std::mutex> gate(gate_mu_);
-  gate_cv_.wait(gate, [this] { return updates_waiting_ == 0; });
-}
-
 void QueryService::WorkerLoop(int worker_idx) {
   (void)worker_idx;
   // One interpreter per worker; all sessions share the one recycler. The
   // plain interpreter runs no_recycle tasks (in-transaction overlay reads):
   // overlay BATs are transaction-local fresh objects, so monitoring them
   // would pollute the shared pool with unmatchable identities.
-  std::unique_ptr<ConcurrentRecycler::Session> session;
-  if (cfg_.enable_recycler) session = recycler_.NewSession();
+  std::unique_ptr<ConcurrentRecycler::Session> session =
+      recycler_.NewSession();
   Interpreter interp(catalog_, session.get());
   Interpreter plain_interp(catalog_);
 
@@ -841,19 +807,9 @@ void QueryService::WorkerLoop(int worker_idx) {
       ResolveTask(&task, Status::DeadlineExceeded(
                              "query exceeded its deadline while queued"));
     } else {
-      // MVCC read: the task carries its snapshot, so the run touches
-      // neither the update gate nor the lock — commits proceed concurrently
-      // and this query keeps reading its epoch.
-      const bool mvcc = task.snapshot != nullptr;
-      std::shared_lock<std::shared_mutex> qlock(update_mu_, std::defer_lock);
-      if (!mvcc) {
-        // Legacy path. Let a waiting commit through first: shared_mutex
-        // acquisition is reader-preferring on glibc, so back-to-back
-        // queries would starve the exclusive holder without this gate.
-        WaitForUpdateGate();
-        // Shared hold: commits (exclusive holders) serialise against us.
-        qlock.lock();
-      }
+      // The task carries its snapshot, so the run never touches the update
+      // lock — commits proceed concurrently and this query keeps reading
+      // its epoch.
       const double dequeue_ms = task.trace != nullptr ? NowMillis() : 0;
       Interpreter& run_interp = task.no_recycle ? plain_interp : interp;
       ConcurrentRecycler::Session* run_session =
@@ -861,18 +817,13 @@ void QueryService::WorkerLoop(int worker_idx) {
       // The session records per-instruction decisions into the task's trace
       // for this run only; the pointer is cleared before the future resolves
       // so the trace is immutable once handed out.
-      if (task.trace != nullptr && run_session != nullptr)
+      run_interp.set_snapshot(task.snapshot.get());
+      if (run_session != nullptr) {
+        run_session->set_epoch(task.snapshot->epoch());
         run_session->set_trace(task.trace.get());
-      if (mvcc) {
-        run_interp.set_snapshot(task.snapshot.get());
-        if (run_session != nullptr)
-          run_session->set_epoch(task.snapshot->epoch());
       }
       auto r = run_interp.Run(*task.prog, task.params);
-      if (mvcc) {
-        run_interp.set_snapshot(nullptr);
-        if (run_session != nullptr) run_session->set_epoch(kEpochLatest);
-      }
+      run_interp.set_snapshot(nullptr);  // the snapshot dies with the task
       if (run_session != nullptr) run_session->set_trace(nullptr);
       const RunStats& rs = run_interp.last_run();
       c_instrs_->Add(rs.instrs);

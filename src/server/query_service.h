@@ -28,16 +28,8 @@ namespace recycledb {
 
 /// Configuration of the concurrent query service.
 struct ServiceConfig {
-  int num_workers = 4;          ///< fixed-size worker pool
-  bool enable_recycler = true;  ///< share one recycle pool across workers
-  RecyclerConfig recycler;      ///< knobs of the shared recycler
-  /// When set (the default), commits run through the recycler's update
-  /// propagation (§6.3): tables whose last commit was insert-only refresh
-  /// their matching select-over-bind pool entries from the insert delta;
-  /// everything else — and every commit containing deletes — falls back to
-  /// column-wise invalidation. Clear it to force pure invalidation on every
-  /// commit (the paper's baseline behaviour, kept for ablation).
-  bool propagate_updates = true;
+  int num_workers = 4;      ///< fixed-size worker pool
+  RecyclerConfig recycler;  ///< knobs of the shared recycle pool
   /// Plan-cache capacity, leased from the service's resource governor: at
   /// most this many cached fingerprints, LRU-evicted beyond it (0 =
   /// unlimited). In-flight queries are unaffected by evictions — they hold
@@ -51,13 +43,6 @@ struct ServiceConfig {
   /// 0 (the default) samples nothing. Explicit `TRACE SELECT ...`
   /// statements are always traced regardless of this knob.
   uint32_t trace_sample_n = 0;
-  /// MVCC snapshot reads (the default): SELECTs capture the catalog
-  /// snapshot epoch at submission and execute against that immutable view
-  /// WITHOUT the update lock, so commits install new versions concurrently
-  /// with running readers. Clear to restore the PR 1 behaviour — every
-  /// query takes a shared hold of the update lock and serialises against
-  /// commits (the `mvcc_mixed` bench's exclusive-lock baseline).
-  bool snapshot_reads = true;
 };
 
 /// Cumulative service counters; every field is maintained atomically so the
@@ -84,11 +69,10 @@ struct ServiceStats {
   uint64_t pool_stripes = 0;
   uint64_t pool_excl_locks = 0;
   uint64_t pool_shared_locks = 0;
-  // Memory-governance counters (kPerStripe budget mode; zero without a
-  // budget): lease borrows beyond the stripe fair share, denied/partial
-  // acquisitions, pressure rebalances, and how often anything locked every
-  // stripe at once (kGlobalExact admissions + maintenance; the per-stripe
-  // admission path never adds to it).
+  // Memory-governance counters (zero without a budget): lease borrows
+  // beyond the stripe fair share, denied/partial acquisitions, pressure
+  // rebalances, and how often anything locked every stripe at once (commit
+  // maintenance, Clear/ResetStats; admission never adds to it).
   uint64_t pool_borrows = 0;
   uint64_t pool_borrow_denied = 0;
   uint64_t pool_rebalances = 0;
@@ -114,7 +98,7 @@ struct ServiceStats {
   uint64_t queries_traced = 0;  ///< queries that carried a QueryTrace
   // MVCC snapshot counters.
   uint64_t snapshot_epoch = 0;  ///< newest published catalog epoch (gauge)
-  uint64_t epoch_pins = 0;      ///< SELECTs that ran against a pinned epoch
+  uint64_t epoch_pins = 0;      ///< queries that captured a snapshot epoch
   /// Pool entries refreshed by §6.3 propagation after a commit moved their
   /// dependencies' epoch forward (the lazy stale-entry refresh path).
   uint64_t stale_entry_refreshes = 0;
@@ -136,14 +120,13 @@ struct QueryRequest {
 
 /// Typed handle returned by QueryService::Submit: the result future plus
 /// what the submission resolved to — which snapshot epoch the query reads
-/// (meaningful for SELECTs under snapshot consistency) and whether the
-/// statement took the DML path (in which case the future is already
-/// resolved when Submit returns).
+/// and whether the statement took the DML path (in which case the future is
+/// already resolved when Submit returns).
 struct QueryHandle {
   std::future<Result<QueryResult>> future;
-  /// The catalog snapshot epoch captured at submission. For kLatest
-  /// consistency and DML this is the epoch current when the statement was
-  /// routed (DML observes and advances the live catalog, not a snapshot).
+  /// The catalog snapshot epoch captured at submission. For DML this is the
+  /// epoch current when the statement was routed (DML observes and advances
+  /// the live catalog, not a snapshot).
   uint64_t snapshot_epoch = 0;
   bool is_dml = false;
 };
@@ -156,18 +139,16 @@ struct QueryHandle {
 /// ## Threading model
 ///
 ///  - Submissions enqueue into one mutex-guarded queue; workers pop and run.
-///  - MVCC reads (snapshot_reads, the default): a SELECT captures the
-///    catalog snapshot epoch at submission and the worker executes it
-///    against that immutable view with NO update-lock hold — commits
-///    install new versions concurrently; a reader sees the whole commit or
-///    none of it (the snapshot is published atomically after pool/plan
-///    maintenance). DML still runs under the *exclusive* hold of the update
-///    lock, serialising writers against each other and against the
-///    compile/kLatest paths.
-///  - Legacy path (snapshot_reads off, or kLatest consistency): every query
-///    executes under a *shared* hold of the update lock; a commit therefore
-///    waits for in-flight queries and queries never observe a half-applied
-///    commit.
+///  - Every query (SQL SELECT or Program) captures a catalog snapshot at
+///    submission and the worker executes it against that immutable view
+///    with NO update-lock hold: commits install new versions concurrently,
+///    and a reader sees the whole commit or none of it (the snapshot is
+///    published atomically after pool/plan maintenance).
+///  - The update lock serialises schema readers against mutators, as
+///    Catalog's contract requires: commits (autocommit DML, COMMIT,
+///    ApplyUpdate) hold it *exclusively*; plan compilation, transaction
+///    overlay builds and in-transaction DML hold it *shared*. Query
+///    execution never touches it.
 ///  - Workers share one ConcurrentRecycler (see its header for the pool
 ///    locking protocol); each worker talks to it through its own Session.
 ///  - Results are immutable snapshots (shared_ptr columns), so a result
@@ -194,8 +175,9 @@ class QueryService {
   QueryService(const QueryService&) = delete;
   QueryService& operator=(const QueryService&) = delete;
 
-  /// Enqueues one query invocation. `prog` must stay alive until the future
-  /// resolves. Never blocks on query execution.
+  /// Enqueues one query invocation against the newest published snapshot.
+  /// `prog` must stay alive until the future resolves. Never blocks on query
+  /// execution or on an in-flight commit.
   std::future<Result<QueryResult>> Submit(const Program* prog,
                                           std::vector<Scalar> params);
 
@@ -208,12 +190,11 @@ class QueryService {
   /// once under the shared update lock, so compilation sees a stable
   /// catalog); every later same-pattern submission — any session, any
   /// literals — shares that recycler-optimised Program and only re-binds
-  /// its parameter values. Under kSnapshot consistency (the default, with
-  /// ServiceConfig::snapshot_reads set) the submission captures the
-  /// session's snapshot — the pinned one, else the newest published epoch —
-  /// and the worker executes the whole query against that immutable view
-  /// WITHOUT the update lock, concurrently with commits. Compile errors
-  /// resolve the returned future immediately.
+  /// its parameter values. The submission captures the session's snapshot —
+  /// the open transaction's view, else the pinned one, else the newest
+  /// published epoch — and the worker executes the whole query against that
+  /// immutable view WITHOUT the update lock, concurrently with commits.
+  /// Compile errors resolve the returned future immediately.
   ///
   /// DML and transaction control (INSERT/DELETE/UPDATE and
   /// BEGIN/COMMIT/ROLLBACK): executes on the calling thread, so the
@@ -251,8 +232,9 @@ class QueryService {
       const std::vector<QueryRequest>& batch);
 
   /// Applies DML/DDL through `mutator` under the exclusive update lock:
-  /// waits for in-flight queries, blocks new ones, and lets the commit's
-  /// invalidation (or delta propagation) hit the shared pool atomically.
+  /// waits for in-flight compiles and in-transaction statements (never for
+  /// running queries, which read their own snapshots) and lets the commit's
+  /// delta propagation or invalidation hit the shared pool atomically.
   Status ApplyUpdate(const std::function<Status(Catalog*)>& mutator);
 
   /// Blocks until every submitted query has finished.
@@ -260,7 +242,7 @@ class QueryService {
 
   Catalog* catalog() { return catalog_; }
   /// The newest published catalog snapshot (lock-free; what an unpinned
-  /// kSnapshot submission captures).
+  /// submission captures).
   CatalogSnapshotPtr CurrentSnapshot() const { return catalog_->Snapshot(); }
   const ServiceConfig& config() const { return cfg_; }
   ConcurrentRecycler& recycler() { return recycler_; }
@@ -268,7 +250,7 @@ class QueryService {
   PlanCache& plan_cache() { return plan_cache_; }
   const PlanCache& plan_cache() const { return plan_cache_; }
   /// The process-wide memory governor: hosts the recycle pool's budget
-  /// domain (kPerStripe budget mode) and the plan cache's capacity domain.
+  /// domain and the plan cache's capacity domain.
   const ResourceGovernor& governor() const { return governor_; }
 
   /// One consistent read of every service counter (each counter is read
@@ -323,9 +305,8 @@ class QueryService {
     /// queue mutex orders the handoff).
     std::shared_ptr<obs::QueryTrace> trace;
     double enqueue_ms = 0;  ///< NowMillis() at enqueue (traced tasks only)
-    /// The snapshot captured at submission. Non-null = MVCC read: the
-    /// worker pins the interpreter and recycler session to this epoch and
-    /// runs WITHOUT the update lock. Null = legacy path (shared hold).
+    /// The snapshot captured at submission: the worker pins the interpreter
+    /// and recycler session to it and runs WITHOUT the update lock.
     CatalogSnapshotPtr snapshot;
     /// Absolute NowMillis() deadline; a task dequeued past it resolves with
     /// DeadlineExceeded instead of running. 0 = none.
@@ -373,10 +354,6 @@ class QueryService {
   /// Caller must hold the update lock shared. Null + ok when no transaction
   /// is open.
   Result<CatalogSnapshotPtr> TxnSnapshot(Session* session, bool* fresh_bats);
-  /// Blocks while a commit is waiting for the exclusive update lock (the
-  /// shared_mutex is reader-preferring on glibc; without the gate a
-  /// saturated queue would starve ApplyUpdate forever).
-  void WaitForUpdateGate();
 
   std::unique_ptr<Catalog> owned_catalog_;  ///< null when borrowing
   Catalog* catalog_;
@@ -399,14 +376,11 @@ class QueryService {
   size_t outstanding_ = 0;  ///< queued + running (guarded by queue_mu_)
   bool stopping_ = false;
 
-  /// Queries hold this shared; ApplyUpdate holds it exclusive. Acquisition
-  /// is reader-preferring on glibc, so workers block on the gate below
-  /// while an update is waiting — otherwise a saturated queue keeps the
-  /// shared count nonzero forever and a commit never lands.
+  /// Commits hold this exclusive; compilation, overlay builds and
+  /// in-transaction DML hold it shared (schema stability). Query execution
+  /// never takes it, so shared holds are short and a commit lands between
+  /// them.
   std::shared_mutex update_mu_;
-  std::mutex gate_mu_;
-  std::condition_variable gate_cv_;
-  int updates_waiting_ = 0;  ///< guarded by gate_mu_
 
   // Registry-owned counters and histograms (see ServiceStats /
   // MetricsSnapshot); the pointers are stable for the service's lifetime.

@@ -11,25 +11,12 @@
 
 namespace recycledb {
 
-/// Read-consistency modes of a submission (SubmitOptions::consistency).
-enum class Consistency {
-  /// Capture the catalog snapshot epoch at submission and execute the whole
-  /// query against it, without the update lock: commits may land while the
-  /// query runs and the query never observes them (MVCC snapshot read).
-  kSnapshot,
-  /// Execute under a shared hold of the update lock against the live
-  /// catalog: the query serialises against commits and always sees the
-  /// newest committed state (the pre-MVCC behaviour; ablation/compat mode).
-  kLatest,
-};
-
 /// Per-submission options of QueryService::Submit.
 struct SubmitOptions {
   /// Force a full QueryTrace for this query (span tree + per-instruction
   /// recycler decision records), regardless of sampling. Equivalent to the
   /// `TRACE SELECT ...` statement prefix.
   bool trace = false;
-  Consistency consistency = Consistency::kSnapshot;
   /// Wall-clock budget in milliseconds from submission; a query still queued
   /// past its deadline resolves with Status::DeadlineExceeded instead of
   /// running. 0 (the default) = no deadline.
@@ -77,10 +64,9 @@ class Session {
     trace_all_.store(on, std::memory_order_release);
   }
 
-  /// Pins `snap` as the snapshot every subsequent kSnapshot submission on
-  /// this session reads from, until Unpin() — repeatable reads across
-  /// statements. Unpinned sessions capture the newest published snapshot
-  /// per statement.
+  /// Pins `snap` as the snapshot every subsequent SELECT on this session
+  /// reads from, until Unpin() — repeatable reads across statements.
+  /// Unpinned sessions capture the newest published snapshot per statement.
   void Pin(CatalogSnapshotPtr snap) {
     std::lock_guard<std::mutex> lock(mu_);
     pinned_ = std::move(snap);

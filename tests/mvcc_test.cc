@@ -1,10 +1,11 @@
-// MVCC snapshot reads (catalog epochs, PR 8): the snapshot-isolation
-// torture test (concurrent readers never observe a partially applied
-// commit), the deterministic proof that a snapshot SELECT completes while
-// the exclusive update lock is held (and that the pre-MVCC / kLatest paths
-// still wait), pinned-session repeatable reads, submission deadlines, and
-// epoch observability (snapshot_epoch gauge, epoch_pins, kEpochBump
-// events). Runs under TSan via the regular test binary.
+// MVCC snapshot reads (catalog epochs): the snapshot-isolation torture test
+// (concurrent readers never observe a partially applied commit), the
+// deterministic proof that SQL and Program queries complete while the
+// exclusive update lock is held, writer progress while many sessions hold
+// the update lock shared (compiles, overlay builds, in-transaction DML),
+// pinned-session repeatable reads, submission deadlines, and epoch
+// observability (snapshot_epoch gauge, epoch_pins, kEpochBump events). Runs
+// under TSan via the regular test binary.
 
 #include <gtest/gtest.h>
 
@@ -17,6 +18,7 @@
 #include <vector>
 
 #include "server/query_service.h"
+#include "sql/planner.h"
 #include "util/str.h"
 
 namespace recycledb {
@@ -135,8 +137,8 @@ TEST(MvccTortureTest, ReadersNeverObservePartialCommit) {
 
 // ---------------------------------------------------------------------------
 // The acceptance property, proven deterministically: while a thread holds
-// the EXCLUSIVE update lock (a commit in flight), a snapshot SELECT still
-// completes; the kLatest/legacy paths block until the lock is released.
+// the EXCLUSIVE update lock (a commit in flight), every query path — a
+// cached SQL SELECT and a pre-built Program — still completes.
 // ---------------------------------------------------------------------------
 class MvccLockTest : public ::testing::Test {
  protected:
@@ -179,39 +181,105 @@ TEST_F(MvccLockTest, SnapshotSelectCompletesDuringInflightCommit) {
   auto r = h.future.get();
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_EQ(r.value().Find("count")->scalar().ToInt64(), 100);
-
-  // kLatest opts back into the pre-MVCC contract: serialise against the
-  // commit. The future must still be pending while the lock is held.
-  SubmitOptions latest;
-  latest.consistency = Consistency::kLatest;
-  QueryHandle hl = svc.Submit(Request{q, &sess, latest});
-  EXPECT_EQ(hl.future.wait_for(std::chrono::milliseconds(200)),
-            std::future_status::timeout)
-      << "kLatest must wait for the in-flight commit";
   Release();
-  auto rl = hl.future.get();
-  ASSERT_TRUE(rl.ok()) << rl.status().ToString();
-  EXPECT_EQ(rl.value().Find("count")->scalar().ToInt64(), 100);
 }
 
-TEST_F(MvccLockTest, ExclusiveLockBaselineBlocksSelects) {
-  // Ablation: with snapshot reads disabled the old behaviour is back —
-  // every SELECT waits out the commit.
+TEST_F(MvccLockTest, ProgramSubmitCompletesDuringInflightCommit) {
   ServiceConfig cfg;
   cfg.num_workers = 2;
-  cfg.snapshot_reads = false;
   QueryService svc(MakeAcctDb(100), cfg);
-  const char* q = "select count(*) from acct";
-  ASSERT_TRUE(RunStmt(&svc, q).ok());
+  auto compiled =
+      sql::CompileSql(svc.catalog(), "select count(*), sum(a_v) from acct");
+  ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+  const Program& prog = compiled.value().plan.prog;
 
   Hold(&svc);
-  Session sess;
-  QueryHandle h = svc.Submit(Request{q, &sess, {}});
-  EXPECT_EQ(h.future.wait_for(std::chrono::milliseconds(200)),
-            std::future_status::timeout)
-      << "with snapshot_reads off, SELECT must serialise against commits";
+  auto fut = svc.Submit(&prog, compiled.value().params);
+  ASSERT_EQ(fut.wait_for(std::chrono::seconds(10)), std::future_status::ready)
+      << "a Program submission must not wait for the exclusive update lock";
+  auto r = fut.get();
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r.value().Find("count")->scalar().ToInt64(), 100);
   Release();
-  EXPECT_EQ(CountOf(h.future.get()), 100);
+}
+
+// Commits must keep landing while the shared hold of the update lock is
+// busy: a one-plan cache forces every SELECT of two alternating shapes to
+// compile under the shared hold, and transaction sessions build overlays
+// and stage DML under it too. There is no writer gate — a shared hold lasts
+// one compile or statement, so the exclusive holder gets in between them.
+TEST_F(MvccLockTest, WriterProgressesUnderSharedHoldChurn) {
+  ServiceConfig cfg;
+  cfg.num_workers = 2;
+  cfg.plan_cache_capacity = 1;
+  QueryService svc(MakeAcctDb(100), cfg);
+
+  constexpr int kCompilers = 4;
+  constexpr int kTxnSessions = 2;
+  constexpr int kCommits = 100;
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> churn_ops{0};
+  std::atomic<int> churn_errors{0};
+
+  std::vector<std::thread> churn;
+  for (int t = 0; t < kCompilers; ++t) {
+    churn.emplace_back([&, t] {
+      Session sess;
+      for (int n = t; !stop.load(std::memory_order_acquire); ++n) {
+        const char* q = n % 2 == 0 ? "select count(*) from acct"
+                                   : "select sum(a_v) from acct";
+        if (!RunStmt(&svc, q, &sess).ok()) ++churn_errors;
+        ++churn_ops;
+      }
+    });
+  }
+  for (int t = 0; t < kTxnSessions; ++t) {
+    churn.emplace_back([&, t] {
+      Session sess;
+      const std::string ins =
+          StrFormat("insert into acct values (%d, %d, 5)", 5000 + t, 5000 + t);
+      while (!stop.load(std::memory_order_acquire)) {
+        // BEGIN and ROLLBACK are lock-free; the INSERT and the overlay
+        // build behind the in-transaction SELECT take the shared hold.
+        if (!RunStmt(&svc, "begin", &sess).ok()) ++churn_errors;
+        if (!RunStmt(&svc, ins, &sess).ok()) ++churn_errors;
+        if (CountOf(RunStmt(&svc, "select count(*) from acct", &sess)) < 101)
+          ++churn_errors;
+        if (!RunStmt(&svc, "rollback", &sess).ok()) ++churn_errors;
+        ++churn_ops;
+      }
+    });
+  }
+  // The writer starts only once the churn is running.
+  while (churn_ops.load() < 20) std::this_thread::yield();
+
+  const uint64_t compiles_before = svc.SnapshotStats().plan_compiles;
+  std::promise<void> writer_done;
+  std::atomic<int> commits{0};
+  std::thread writer([&] {
+    Session wsess;  // autocommit: one exclusive hold per statement
+    for (int i = 0; i < kCommits; ++i) {
+      const std::string ins =
+          StrFormat("insert into acct values (%d, %d, 5)", 1000 + i, 1000 + i);
+      if (RunStmt(&svc, ins, &wsess).ok()) ++commits;
+    }
+    writer_done.set_value();
+  });
+  const std::future_status st =
+      writer_done.get_future().wait_for(std::chrono::seconds(60));
+  const uint64_t compiles_during =
+      svc.SnapshotStats().plan_compiles - compiles_before;
+  stop.store(true, std::memory_order_release);
+  writer.join();
+  for (std::thread& t : churn) t.join();
+
+  ASSERT_EQ(st, std::future_status::ready)
+      << "autocommit writer starved behind the shared update-lock holders";
+  EXPECT_EQ(commits.load(), kCommits);
+  EXPECT_EQ(churn_errors.load(), 0);
+  EXPECT_GT(compiles_during, 0u) << "the churn never compiled under the hold";
+  EXPECT_EQ(CountOf(RunStmt(&svc, "select count(*) from acct")),
+            100 + kCommits);
 }
 
 // ---------------------------------------------------------------------------

@@ -133,20 +133,20 @@ TEST_P(PoolStress, AccountingStaysConsistentUnderRandomOps) {
 INSTANTIATE_TEST_SUITE_P(Seeds, PoolStress,
                          ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8));
 
-class StripedPoolStressTest : public ::testing::TestWithParam<BudgetMode> {};
+class StripedPoolStressTest : public ::testing::TestWithParam<EvictionKind> {};
 
 TEST_P(StripedPoolStressTest, MixedOpsRespectBudgetAndRollUp) {
   // Mixed admission/eviction/invalidation churn from several threads over a
-  // striped pool with a byte budget, in BOTH budget modes: kGlobalExact
-  // (all-stripe-locked admissions) and kPerStripe (governor leases,
-  // stripe-local eviction, borrow/rebalance through the atomic ledger).
-  // Argument bats are pre-selected to pin work onto several distinct
-  // stripes. At every quiescent point: the budget holds across stripes, and
-  // the rolled-up statistics equal the per-stripe sums exactly.
+  // striped pool with a byte budget (governor leases, stripe-local
+  // eviction, borrow/rebalance through the atomic ledger), once per
+  // eviction policy that picks the stripe-local victims. Argument bats
+  // are pre-selected to pin work onto several distinct stripes. At every
+  // quiescent point: the budget holds across stripes, and the rolled-up
+  // statistics equal the per-stripe sums exactly.
   RecyclerConfig cfg;
   cfg.pool_stripes = 8;
   cfg.max_bytes = 24 * 1024;
-  cfg.budget_mode = GetParam();
+  cfg.eviction = GetParam();
   cfg.enable_subsumption = false;  // synthetic instructions, no candidates
   ConcurrentRecycler rec(cfg);
   ASSERT_EQ(rec.num_stripes(), 8u);
@@ -206,7 +206,7 @@ TEST_P(StripedPoolStressTest, MixedOpsRespectBudgetAndRollUp) {
 
     // --- quiescent invariants ----------------------------------------------
     EXPECT_LE(rec.pool_bytes(), cfg.max_bytes)
-        << "eviction (" << BudgetModeName(cfg.budget_mode)
+        << "eviction (" << EvictionName(cfg.eviction)
         << ") violated the byte budget";
     RecyclerStats total = rec.stats();
     uint64_t sum_hits = 0, sum_admitted = 0, sum_evicted = 0;
@@ -238,8 +238,8 @@ TEST_P(StripedPoolStressTest, MixedOpsRespectBudgetAndRollUp) {
 }
 
 INSTANTIATE_TEST_SUITE_P(BudgetModes, StripedPoolStressTest,
-                         ::testing::Values(BudgetMode::kGlobalExact,
-                                           BudgetMode::kPerStripe));
+                         ::testing::Values(EvictionKind::kLru,
+                                           EvictionKind::kBenefit));
 
 TEST(InvalidationClosureTest, RandomWorkloadSurvivesRandomInvalidation) {
   // Interleave query execution with invalidation of random columns and

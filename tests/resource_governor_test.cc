@@ -1,14 +1,15 @@
 // Unified memory governance: ResourceGovernor ledger semantics (leases,
-// borrow caps, pressure epochs, conservation), and the ConcurrentRecycler's
-// kPerStripe budget mode built on it — budgeted admission without any
+// borrowing, pressure epochs, conservation), and the ConcurrentRecycler's
+// per-stripe budgets built on it — budgeted admission without any
 // all-stripe lock, stripe-local eviction, borrow/rebalance under skewed
-// stripe load (with the no-borrow ablation), and the budget invariant under
-// concurrent churn (a TSan target).
+// stripe load, and the budget invariant under concurrent churn (a TSan
+// target).
 
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <mutex>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -64,24 +65,6 @@ TEST(GovernorLedgerTest, AcquireReleaseConservesTheBudget) {
   EXPECT_EQ(d->free_entries(), 10u);
 }
 
-TEST(GovernorLedgerTest, NoBorrowLeaseIsHardCappedAtBase) {
-  ResourceGovernor gov;
-  ResourceGovernor::Domain* d = gov.AddDomain("d", {1000, 0});
-  ResourceGovernor::Lease* l =
-      d->CreateLease("l", 250, 0, /*may_borrow=*/false);
-
-  EXPECT_TRUE(l->TryAcquire(250, 0));
-  EXPECT_FALSE(l->TryAcquire(1, 0));  // the ledger has 750 free — irrelevant
-  EXPECT_EQ(l->AcquireBytesUpTo(100), 0u);
-  EXPECT_GE(l->denied(), 2u);
-  EXPECT_EQ(l->borrows(), 0u);
-  EXPECT_FALSE(l->SeesPressure());  // can never hold beyond base
-
-  l->Release(50, 0);
-  EXPECT_EQ(l->AcquireBytesUpTo(100), 50u);  // partial grant up to base
-  EXPECT_EQ(l->held_bytes(), 250u);
-}
-
 TEST(GovernorLedgerTest, PartialByteGrantsDrainTheLedgerExactly) {
   ResourceGovernor gov;
   ResourceGovernor::Domain* d = gov.AddDomain("d", {100, 0});
@@ -105,7 +88,7 @@ TEST(GovernorLedgerTest, UnlimitedResourceAlwaysGrants) {
 }
 
 // ---------------------------------------------------------------------------
-// kPerStripe budgeted admission on a striped pool.
+// Per-stripe budgeted admission on a striped pool.
 // ---------------------------------------------------------------------------
 
 BatPtr FreshBat(size_t n) {
@@ -147,101 +130,88 @@ struct SynthDriver {
   }
 };
 
-RecyclerConfig BoundedCfg(size_t max_bytes, bool borrow = true) {
+/// `n` fresh bats whose Steps land on distinct stripes other than `hot`'s:
+/// the cold traffic of the skew tests must never admit into the hot stripe
+/// (which stripe a bat hashes to depends on its process-wide id).
+std::vector<BatPtr> ColdBats(const ConcurrentRecycler& rec, const BatPtr& hot,
+                             size_t n) {
+  auto stripe_of = [&rec](const BatPtr& b) {
+    std::vector<MalValue> args{MalValue(b), MalValue(Scalar::Int(0))};
+    return rec.StripeOf(Opcode::kSelectNotNil, args);
+  };
+  std::set<size_t> used{stripe_of(hot)};
+  std::vector<BatPtr> out;
+  while (out.size() < n) {
+    BatPtr b = FreshBat(4);
+    if (used.insert(stripe_of(b)).second) out.push_back(std::move(b));
+  }
+  return out;
+}
+
+RecyclerConfig BoundedCfg(size_t max_bytes) {
   RecyclerConfig cfg;
   cfg.pool_stripes = 8;
   cfg.max_bytes = max_bytes;
   cfg.eviction = EvictionKind::kLru;
   cfg.enable_subsumption = false;  // synthetic instructions, no candidates
-  cfg.stripe_borrow = borrow;
-  return cfg;  // budget_mode defaults to kPerStripe
+  return cfg;
 }
 
-// The acceptance property of the refactor: with budget_mode = kPerStripe a
-// budgeted admission-heavy workload performs ZERO all-stripe lock
-// acquisitions (kGlobalExact performed one per admission), and exclusive
-// acquisitions collapse from stripes-per-admission to one.
+// A budgeted admission-heavy workload performs ZERO all-stripe lock
+// acquisitions: each admission charges its own stripe's lease and evicts
+// within that stripe, under that stripe's lock alone.
 TEST(PerStripeBudgetTest, BudgetedAdmissionTakesNoAllStripeLock) {
-  auto drive = [](ConcurrentRecycler* rec) {
-    SynthDriver d(rec);
-    Rng rng(99);
-    std::vector<BatPtr> bats;
-    for (int i = 0; i < 12; ++i) bats.push_back(FreshBat(4));
-    for (int i = 0; i < 400; ++i)
-      d.Step(bats[rng.Uniform(bats.size())],
-             static_cast<int>(rng.Uniform(40)), 128);
-  };
+  RecyclerConfig cfg = BoundedCfg(48 * 1024);
+  ConcurrentRecycler rec(cfg);
+  SynthDriver d(&rec);
+  Rng rng(99);
+  std::vector<BatPtr> bats;
+  for (int i = 0; i < 12; ++i) bats.push_back(FreshBat(4));
+  for (int i = 0; i < 400; ++i)
+    d.Step(bats[rng.Uniform(bats.size())], static_cast<int>(rng.Uniform(40)),
+           128);
 
-  RecyclerConfig per_stripe = BoundedCfg(48 * 1024);
-  ConcurrentRecycler ps(per_stripe);
-  drive(&ps);
-  EXPECT_EQ(ps.all_stripe_ops(), 0u)
-      << "a kPerStripe budgeted admission locked every stripe";
-  EXPECT_LE(ps.pool_bytes(), per_stripe.max_bytes);
-  EXPECT_GT(ps.stats().evicted, 0u) << "budget never forced an eviction";
-
-  RecyclerConfig global = BoundedCfg(48 * 1024);
-  global.budget_mode = BudgetMode::kGlobalExact;
-  ConcurrentRecycler gl(global);
-  drive(&gl);
-  EXPECT_GT(gl.all_stripe_ops(), 0u);
-  EXPECT_LE(gl.pool_bytes(), global.max_bytes);
-
-  // pool_excl_locks view of the same fact: global pays stripes× exclusive
-  // acquisitions per admission, per-stripe pays one.
-  auto excl_total = [](const ConcurrentRecycler& r) {
-    uint64_t n = 0;
-    for (const auto& st : r.stripe_stats()) n += st.excl_acquisitions;
-    return n;
-  };
-  EXPECT_LT(excl_total(ps) * 4, excl_total(gl))
-      << "per-stripe admission should acquire far fewer exclusive locks";
+  EXPECT_EQ(rec.all_stripe_ops(), 0u)
+      << "a budgeted admission locked every stripe";
+  EXPECT_LE(rec.pool_bytes(), cfg.max_bytes);
+  EXPECT_GT(rec.stats().evicted, 0u) << "budget never forced an eviction";
 }
 
-// Satellite acceptance: skewed stripe load under a small per-stripe budget.
-// One stripe receives ~10x the bytes of any other; with borrowing the hot
-// stripe leases the idle stripes' unused share through the governor and the
-// replay hit ratio stays high, while the no-borrow ablation hard-caps it at
-// max/N and replays mostly miss. The budget must hold THROUGHOUT both runs.
+// Skewed stripe load under a small per-stripe budget. One stripe receives
+// ~10x the bytes of any other; the hot stripe leases the idle stripes'
+// unused share through the governor, so its replay hit ratio stays high.
+// A lease hard-capped at its max/N share (12 KB, 6 hot entries) could
+// replay at most 6 of the 40 hot entries; borrowing must replay over 30.
+// The budget must hold THROUGHOUT the run.
 TEST(PerStripeBudgetTest, SkewedLoadBorrowBeatsTheNoBorrowAblation) {
   constexpr size_t kBudget = 96 * 1024;
   constexpr int kHot = 40;       // hot-stripe entries ...
   constexpr size_t kRows = 256;  // ... of ~2 KB each: ~80 KB on one stripe
 
-  auto run = [&](bool borrow, uint64_t* borrows, uint64_t* replay_hits) {
-    ConcurrentRecycler rec(BoundedCfg(kBudget, borrow));
-    SynthDriver d(&rec);
-    BatPtr hot = FreshBat(4);  // all keys over one bat: one stripe
-    std::vector<BatPtr> cold;
-    for (int i = 0; i < 6; ++i) cold.push_back(FreshBat(4));
+  ConcurrentRecycler rec(BoundedCfg(kBudget));
+  SynthDriver d(&rec);
+  BatPtr hot = FreshBat(4);  // all keys over one bat: one stripe
+  std::vector<BatPtr> cold = ColdBats(rec, hot, 6);
 
-    for (int wave = 0; wave < 2; ++wave) {
-      uint64_t hits = 0;
-      for (int i = 0; i < kHot; ++i) {
-        if (d.Step(hot, i, kRows)) ++hits;
-        ASSERT_LE(rec.pool_bytes(), kBudget)
-            << "budget violated mid-workload (borrow=" << borrow << ")";
-      }
-      for (size_t c = 0; c < cold.size(); ++c) {
-        d.Step(cold[c], 0, 16);  // light cold traffic on other stripes
-        ASSERT_LE(rec.pool_bytes(), kBudget);
-      }
-      if (wave == 1) *replay_hits = hits;
+  uint64_t replay_hits = 0;
+  for (int wave = 0; wave < 2; ++wave) {
+    uint64_t hits = 0;
+    for (int i = 0; i < kHot; ++i) {
+      if (d.Step(hot, i, kRows)) ++hits;
+      ASSERT_LE(rec.pool_bytes(), kBudget) << "budget violated mid-workload";
     }
-    *borrows = 0;
-    for (const auto& st : rec.stripe_stats()) *borrows += st.borrows;
-    EXPECT_EQ(rec.all_stripe_ops(), 0u);
-  };
+    for (size_t c = 0; c < cold.size(); ++c) {
+      d.Step(cold[c], 0, 16);  // light cold traffic on other stripes
+      ASSERT_LE(rec.pool_bytes(), kBudget);
+    }
+    if (wave == 1) replay_hits = hits;
+  }
+  uint64_t borrows = 0;
+  for (const auto& st : rec.stripe_stats()) borrows += st.borrows;
 
-  uint64_t borrows_on = 0, hits_on = 0, borrows_off = 0, hits_off = 0;
-  run(true, &borrows_on, &hits_on);
-  run(false, &borrows_off, &hits_off);
-
-  EXPECT_GT(borrows_on, 0u) << "the hot stripe never borrowed";
-  EXPECT_EQ(borrows_off, 0u) << "a no-borrow lease counted a borrow";
-  EXPECT_GT(hits_on, hits_off)
-      << "borrowing should beat the hard per-stripe cap on a skewed load";
-  EXPECT_GT(hits_on, static_cast<uint64_t>(kHot) * 3 / 4)
+  EXPECT_EQ(rec.all_stripe_ops(), 0u);
+  EXPECT_GT(borrows, 0u) << "the hot stripe never borrowed";
+  EXPECT_GT(replay_hits, static_cast<uint64_t>(kHot) * 3 / 4)
       << "borrowing stripe should hold nearly the whole hot set";
 }
 
@@ -258,8 +228,7 @@ TEST(PerStripeBudgetTest, PressureRebalancesTheBorrowingStripe) {
   // Cold stripes now admit 2 KB entries each: their under-base acquisitions
   // starve on the dry ledger and raise pressure; the hot stripe sheds at
   // its next admission.
-  std::vector<BatPtr> cold;
-  for (int i = 0; i < 6; ++i) cold.push_back(FreshBat(4));
+  std::vector<BatPtr> cold = ColdBats(rec, hot, 6);
   for (int round = 0; round < 3; ++round) {
     for (size_t c = 0; c < cold.size(); ++c)
       d.Step(cold[c], 100 + round, 256);
@@ -286,8 +255,7 @@ TEST(PerStripeBudgetTest, HitOnlyStripeShedsOnPressureFromTheProbePath) {
   for (int i = 0; i < 14; ++i) d.Step(hot, i, 256);  // borrow ~28 KB
 
   // Under-base stripes starve on the dry ledger: pressure is raised.
-  std::vector<BatPtr> cold;
-  for (int i = 0; i < 4; ++i) cold.push_back(FreshBat(4));
+  std::vector<BatPtr> cold = ColdBats(rec, hot, 4);
   for (size_t c = 0; c < cold.size(); ++c) d.Step(cold[c], 0, 256);
 
   // The hot stripe now sees PROBE traffic only (replays are hits or, after
@@ -367,7 +335,7 @@ TEST(PerStripeBudgetTest, ConcurrentSkewedChurnHoldsTheBudget) {
   for (const auto& st : rec.stripe_stats()) borrows += st.borrows;
   EXPECT_GT(borrows, 0u);
 
-  // Roll-up stays exact in per-stripe mode too.
+  // Roll-up stays exact.
   size_t sum_bytes = 0, sum_entries = 0;
   for (const auto& st : rec.stripe_stats()) {
     sum_bytes += st.bytes;

@@ -475,41 +475,6 @@ TEST_F(SqlDmlServiceTest, LikeSelectSurvivesInsertOnlyCommit) {
   EXPECT_GT(svc_->recycler().stats().hits, hits_before_replay);
 }
 
-// With propagation disabled the same workloads must fall back to pure
-// invalidation (the ablation baseline stays reachable) — for the whole
-// refreshable selection family, with identical query results.
-TEST(SqlDmlServiceConfigTest, PropagationCanBeDisabled) {
-  ServiceConfig cfg;
-  cfg.num_workers = 2;
-  cfg.propagate_updates = false;
-  QueryService svc(MakeItemDb(), cfg);
-  Session sess;
-  sess.set_autocommit(false);
-
-  const char* range_q = "select i_qty from item where i_qty >= 15";
-  const char* eq_q = "select i_name from item where i_qty = 20";
-  const char* like_q = "select i_qty from item where i_name like 'a%'";
-  ASSERT_TRUE(testutil::RunSql(&svc, &sess, range_q).ok());
-  ASSERT_TRUE(testutil::RunSql(&svc, &sess, eq_q).ok());
-  ASSERT_TRUE(testutil::RunSql(&svc, &sess, like_q).ok());
-  ASSERT_TRUE(
-      testutil::RunSql(&svc, &sess, "insert into item values (7, 50, 5.5, 'ape')").ok());
-  ASSERT_TRUE(testutil::RunSql(&svc, &sess, "commit").ok());
-  RecyclerStats rs = svc.recycler().stats();
-  EXPECT_EQ(rs.propagated, 0u);
-  EXPECT_GT(rs.invalidated, 0u);
-
-  auto r = testutil::RunSql(&svc, &sess, range_q);
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r.value().Find("i_qty")->bat()->size(), 4u);
-  r = testutil::RunSql(&svc, &sess, eq_q);
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r.value().Find("i_name")->bat()->size(), 1u);
-  r = testutil::RunSql(&svc, &sess, like_q);
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r.value().Find("i_qty")->bat()->size(), 2u);  // ant, ape
-}
-
 // ---------------------------------------------------------------------------
 // Concurrent DML vs SELECT over cached plans (run under TSan in CI).
 //

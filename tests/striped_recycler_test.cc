@@ -1,8 +1,9 @@
-// Striped-pool correctness: a ConcurrentRecycler with N stripes must make
-// IDENTICAL hit/miss/admission/eviction decisions to a plain (unstriped)
-// Recycler when driven single-threaded — same pool contents, same stats
-// totals — on fig4-style (unlimited, subsumption-heavy) and fig10-style
-// (bounded-entry eviction) workloads. Plus: the CREDIT/ADAPT exact-hit path
+// Striped-pool correctness: driven single-threaded, a ConcurrentRecycler
+// must make IDENTICAL hit/miss/admission/eviction decisions to a plain
+// (unstriped) Recycler — same pool contents, same stats totals — with N
+// stripes on a fig4-style (unlimited, subsumption-heavy) workload, and with
+// one stripe under fig10-style entry and byte budgets (its governor lease
+// then covers the whole budget). Plus: the CREDIT/ADAPT exact-hit path
 // must stay on the shared lock (asserted via the stripe contention
 // counters), and the stripe key must co-locate subsumption candidates.
 
@@ -132,16 +133,14 @@ TEST(StripedParityTest, Fig4StyleUnlimitedSubsumption) {
 
 TEST(StripedParityTest, Fig10StyleBoundedEntriesLru) {
   // Entry-budget eviction (the fig10 setting, LRU policy — deterministic
-  // victim order via the shared logical clock). kGlobalExact is the mode
-  // that PROMISES decision parity with the unstriped pool; the default
-  // kPerStripe trades that for stripe-local admission (covered by
-  // resource_governor_test).
+  // victim order via the logical clock). One stripe leases the whole budget
+  // and evicts exactly like the unstriped pool; with more stripes victims
+  // are chosen stripe-locally (covered by resource_governor_test).
   Batch b = MakeBatch({4, 12, 19}, 8, 7);
   RecyclerConfig cfg;
   cfg.max_entries = 24;
   cfg.eviction = EvictionKind::kLru;
-  cfg.budget_mode = BudgetMode::kGlobalExact;
-  cfg.pool_stripes = 16;
+  cfg.pool_stripes = 1;
   RunOutcome u = RunUnstriped(b, cfg);
   RunOutcome s = RunStriped(b, cfg);
   ExpectSameDecisions(u, s);
@@ -158,8 +157,7 @@ TEST(StripedParityTest, BoundedBytesAndCreditLedger) {
   cfg.credits = 3;
   cfg.max_bytes = 96 * 1024;
   cfg.eviction = EvictionKind::kLru;
-  cfg.budget_mode = BudgetMode::kGlobalExact;
-  cfg.pool_stripes = 16;
+  cfg.pool_stripes = 1;
   RunOutcome u = RunUnstriped(b, cfg);
   RunOutcome s = RunStriped(b, cfg);
   ExpectSameDecisions(u, s);
