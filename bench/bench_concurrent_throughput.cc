@@ -1,40 +1,32 @@
-// Concurrent query service throughput: sweeps worker counts × workload heat
-// (hot = few distinct parameter vectors, so the shared pool answers most
-// monitored instructions; cold = fresh parameters every query) and reports
-// queries/second, speedup over one worker, and the shared-pool hit ratio.
-//
-// The point: one pool + the shared_mutex protocol scales instead of
-// serialising — misses execute outside any lock, and hot workloads get both
-// reuse (less work per query) and parallelism across workers.
+// Concurrent query service bench: the recycler's decisions under the shared
+// pool — hit ratios of a hot and a cold workload, the SQL plan cache, §6.3
+// propagation under a mixed SELECT+DML load, eviction under a fixed byte
+// budget (raw and with encoded intermediates) — plus two within-run
+// ablations (vectorised kernels against the scalar reference, tracing
+// overhead against the untraced run).
 //
 //   ./bench_concurrent_throughput            # SF from RDB_TPCH_SF (0.005)
 //   RDB_MAX_WORKERS=16 ./bench_concurrent_throughput  # default 4
 //   ./bench_concurrent_throughput --json BENCH_concurrent.json \
 //                                 --metrics BENCH_metrics.json
 //
-// --json writes every sample as machine-readable JSON for the CI
-// benchmark-regression harness (bench/check_regression.py compares it
-// against bench/baseline/BENCH_concurrent.json); every phase row carries
-// query wall-latency percentiles (p50_us/p99_us) from the service's
-// query_wall_us histogram, and the trace_ablation phase reports tracing
-// overhead as a gated within-run qps ratio. --metrics additionally dumps
-// the DML-phase service's full metrics registry (DumpMetricsJson: counters,
-// gauges, histograms, governance events) as a CI artifact.
+// --json writes what bench/check_regression.py gates against
+// bench/baseline/BENCH_concurrent.json: hit ratios, deterministic counters
+// and within-run ratios, which mean the same on any host. Absolute
+// throughput only goes to stdout; perfbench/ measures the service end to
+// end over the wire. --metrics additionally dumps the DML-phase service's
+// full metrics registry (DumpMetricsJson: counters, gauges, histograms,
+// governance events) as a CI artifact.
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
 #include <fstream>
-#include <thread>
+#include <utility>
 
 #include "bat/hash_index.h"
 #include "bench/bench_common.h"
 #include "engine/operators.h"
 #include "engine/scalar_ref.h"
 #include "engine/vec/hashprobe.h"
-#include "net/client.h"
-#include "net/server.h"
-#include "obs/metrics.h"
 #include "server/query_service.h"
 #include "util/str.h"
 
@@ -81,64 +73,24 @@ Workload MakeWorkload(const char* name,
 struct Sample {
   double qps = 0;
   double hit_ratio = 0;
-  uint64_t pool_hits = 0;
-  uint64_t p50_us = 0;  ///< query wall-latency percentiles of the best rep
-  uint64_t p99_us = 0;
 };
 
-/// One row of the machine-readable output (--json): a throughput sample
-/// (phase="throughput", load hot/cold), the SQL plan-cache phase
-/// (phase="sql_plan_cache"), the mixed SELECT+DML phase
-/// (phase="sql_dml_mixed", where hit_ratio is the POST-update hit ratio), or
-/// the wire-protocol loopback phase (phase="net_loopback", where p50/p99
-/// come from the server's net_request_us histogram).
-/// check_regression.py keys rows by (phase, load, workers).
+double HitRatio(const RecyclerStats& rs) {
+  return rs.monitored ? static_cast<double>(rs.hits) / rs.monitored : 0.0;
+}
+
+/// One row of the machine-readable output (--json). check_regression.py keys
+/// rows by (phase, load, workers) and gates every field the row carries.
 struct JsonRow {
   std::string phase;
   std::string load;
   int workers = 0;
-  double qps = 0;
   double hit_ratio = 0;
-  uint64_t pool_hits = 0;
-  // sql_plan_cache only:
-  uint64_t plan_compiles = 0;
-  uint64_t plan_hits = 0;
-  uint64_t plan_lookups = 0;
-  // sql_dml_mixed only: commit-driven pool maintenance (§6.3 split).
-  bool has_dml = false;
-  uint64_t propagated = 0;
-  uint64_t invalidated = 0;
-  uint64_t dml_commits = 0;
-  // bounded_memory only: governed-budget behaviour (evictions forced by the
-  // byte budget, lease borrows beyond the stripe fair share).
-  bool has_budget = false;
-  uint64_t evicted = 0;
-  uint64_t borrows = 0;
-  // Per-phase query wall-latency percentiles from the service's
-  // query_wall_us histogram (reset per timed window; best rep reported).
-  bool has_latency = false;
-  uint64_t p50_us = 0;
-  uint64_t p99_us = 0;
-  // trace_ablation only: throughput relative to the same phase's untraced
-  // run — machine-independent, so it gates tracing overhead even where
-  // absolute qps is advisory.
-  bool has_rel = false;
-  double rel_qps = 0;
-  // txn_mixed only: multi-statement transaction outcomes under contention
-  // (first-writer-wins — conflicts are expected, not failures).
-  bool has_txn = false;
-  uint64_t txn_committed = 0;
-  uint64_t txn_conflicts = 0;
-  uint64_t txn_rolled_back = 0;
-  // bounded_memory load="encoded" only: the same budgeted phase with column
-  // encodings built and encoded intermediates enabled. raw_hit_ratio is the
-  // same workload on the same catalog WITHOUT encodings; charging entries at
-  // encoded size must fit more working set under the identical budget, so
-  // check_regression.py requires hit_ratio > raw_hit_ratio within-run.
-  bool has_enc = false;
-  double raw_hit_ratio = 0;
-  uint64_t pool_encoded_bytes = 0;
-  uint64_t encoding_savings_bytes = 0;
+  /// Workload-determined counters (plan cache, DML pool maintenance,
+  /// budget-forced evictions, encoding savings).
+  std::vector<std::pair<const char*, uint64_t>> counters;
+  /// Within-run ratios (rel_qps, raw_hit_ratio).
+  std::vector<std::pair<const char*, double>> ratios;
 };
 
 void WriteJson(const std::string& path, double sf, int max_workers,
@@ -150,60 +102,20 @@ void WriteJson(const std::string& path, double sf, int max_workers,
   }
   out << "{\n";
   out << StrFormat(
-      "  \"config\": {\"sf\": %g, \"max_workers\": %d, \"stripes\": %zu, "
-      "\"hw_threads\": %u},\n",
-      sf, max_workers, stripes, std::thread::hardware_concurrency());
+      "  \"config\": {\"sf\": %g, \"max_workers\": %d, \"stripes\": %zu},\n",
+      sf, max_workers, stripes);
   out << "  \"results\": [\n";
   for (size_t i = 0; i < rows.size(); ++i) {
     const JsonRow& r = rows[i];
     out << StrFormat(
         "    {\"phase\": \"%s\", \"load\": \"%s\", \"workers\": %d, "
-        "\"qps\": %.2f, \"hit_ratio\": %.4f, \"pool_hits\": %llu",
-        r.phase.c_str(), r.load.c_str(), r.workers, r.qps, r.hit_ratio,
-        static_cast<unsigned long long>(r.pool_hits));
-    if (r.phase == "sql_plan_cache") {
-      out << StrFormat(
-          ", \"plan_compiles\": %llu, \"plan_hits\": %llu, "
-          "\"plan_lookups\": %llu",
-          static_cast<unsigned long long>(r.plan_compiles),
-          static_cast<unsigned long long>(r.plan_hits),
-          static_cast<unsigned long long>(r.plan_lookups));
-    }
-    if (r.has_dml) {
-      out << StrFormat(
-          ", \"propagated\": %llu, \"invalidated\": %llu, "
-          "\"dml_commits\": %llu",
-          static_cast<unsigned long long>(r.propagated),
-          static_cast<unsigned long long>(r.invalidated),
-          static_cast<unsigned long long>(r.dml_commits));
-    }
-    if (r.has_budget) {
-      out << StrFormat(", \"evicted\": %llu, \"borrows\": %llu",
-                       static_cast<unsigned long long>(r.evicted),
-                       static_cast<unsigned long long>(r.borrows));
-    }
-    if (r.has_latency) {
-      out << StrFormat(", \"p50_us\": %llu, \"p99_us\": %llu",
-                       static_cast<unsigned long long>(r.p50_us),
-                       static_cast<unsigned long long>(r.p99_us));
-    }
-    if (r.has_rel) out << StrFormat(", \"rel_qps\": %.4f", r.rel_qps);
-    if (r.has_txn) {
-      out << StrFormat(
-          ", \"txn_committed\": %llu, \"txn_conflicts\": %llu, "
-          "\"txn_rolled_back\": %llu",
-          static_cast<unsigned long long>(r.txn_committed),
-          static_cast<unsigned long long>(r.txn_conflicts),
-          static_cast<unsigned long long>(r.txn_rolled_back));
-    }
-    if (r.has_enc) {
-      out << StrFormat(
-          ", \"raw_hit_ratio\": %.4f, \"pool_encoded_bytes\": %llu, "
-          "\"encoding_savings_bytes\": %llu",
-          r.raw_hit_ratio,
-          static_cast<unsigned long long>(r.pool_encoded_bytes),
-          static_cast<unsigned long long>(r.encoding_savings_bytes));
-    }
+        "\"hit_ratio\": %.4f",
+        r.phase.c_str(), r.load.c_str(), r.workers, r.hit_ratio);
+    for (const auto& [name, v] : r.counters)
+      out << StrFormat(", \"%s\": %llu", name,
+                       static_cast<unsigned long long>(v));
+    for (const auto& [name, v] : r.ratios)
+      out << StrFormat(", \"%s\": %.4f", name, v);
     out << (i + 1 < rows.size() ? "},\n" : "}\n");
   }
   out << "  ]\n}\n";
@@ -222,7 +134,6 @@ Sample RunConfig(Catalog* cat, const Workload& w, int workers,
   ServiceConfig cfg = BenchConfig(workers);
   cfg.trace_sample_n = trace_sample_n;
   QueryService svc(cat, cfg);
-  obs::LatencyHistogram* wall = svc.metrics().FindHistogram("query_wall_us");
 
   // Short runs are noisy, so take the best of a few repetitions. Each rep
   // restores the same starting state: an empty pool re-warmed with the
@@ -240,9 +151,6 @@ Sample RunConfig(Catalog* cat, const Workload& w, int workers,
       }
     }
     svc.recycler().ResetStats();
-    // Per-rep latency window: reset after warmup so the percentiles cover
-    // only the timed queries of this repetition.
-    wall->Reset();
     StopWatch sw;
     std::vector<Result<QueryResult>> results = svc.RunBatch(w.queries);
     double secs = sw.ElapsedSeconds();
@@ -256,13 +164,7 @@ Sample RunConfig(Catalog* cat, const Workload& w, int workers,
     double qps = static_cast<double>(w.queries.size()) / secs;
     if (qps > s.qps) {
       s.qps = qps;
-      RecyclerStats rs = svc.recycler().stats();
-      s.hit_ratio =
-          rs.monitored ? static_cast<double>(rs.hits) / rs.monitored : 0.0;
-      s.pool_hits = rs.hits;
-      obs::LatencyHistogram::Snapshot hist = wall->snapshot();
-      s.p50_us = hist.Percentile(50);
-      s.p99_us = hist.Percentile(99);
+      s.hit_ratio = HitRatio(svc.recycler().stats());
     }
   }
   return s;
@@ -287,7 +189,6 @@ int EnvMaxWorkers(int def = 4) {
 /// inter-query commonality the hand-built templates have.
 JsonRow RunPlanCachePhase(Catalog* cat, int workers, int n_queries) {
   QueryService svc(cat, BenchConfig(workers));
-  obs::LatencyHistogram* wall = svc.metrics().FindHistogram("query_wall_us");
   Session sess;
   Rng rng(4242);
 
@@ -326,7 +227,6 @@ JsonRow RunPlanCachePhase(Catalog* cat, int workers, int n_queries) {
     }
   };
 
-  wall->Reset();
   StopWatch sw;
   std::vector<std::future<Result<QueryResult>>> futs;
   futs.reserve(n_queries);
@@ -357,24 +257,16 @@ JsonRow RunPlanCachePhase(Catalog* cat, int workers, int n_queries) {
   std::printf(
       "  recycler: monitored=%llu pool-hits=%llu (hit ratio %.2f)\n",
       static_cast<unsigned long long>(rs.monitored),
-      static_cast<unsigned long long>(rs.hits),
-      rs.monitored ? static_cast<double>(rs.hits) / rs.monitored : 0.0);
+      static_cast<unsigned long long>(rs.hits), HitRatio(rs));
 
   JsonRow row;
   row.phase = "sql_plan_cache";
   row.load = "mixed";
   row.workers = workers;
-  row.qps = n_queries / secs;
-  row.hit_ratio =
-      rs.monitored ? static_cast<double>(rs.hits) / rs.monitored : 0.0;
-  row.pool_hits = rs.hits;
-  row.plan_compiles = s.plan_compiles;
-  row.plan_hits = s.plan_hits;
-  row.plan_lookups = s.plan_lookups;
-  obs::LatencyHistogram::Snapshot hist = wall->snapshot();
-  row.has_latency = true;
-  row.p50_us = hist.Percentile(50);
-  row.p99_us = hist.Percentile(99);
+  row.hit_ratio = HitRatio(rs);
+  row.counters = {{"plan_compiles", s.plan_compiles},
+                  {"plan_hits", s.plan_hits},
+                  {"plan_lookups", s.plan_lookups}};
   return row;
 }
 
@@ -394,7 +286,6 @@ JsonRow RunMixedDmlPhase(int workers, int n_rounds, int selects_per_round,
   auto cat = MakeTpchDb(BenchSf());
   const size_t base_rows = cat->FindTable("orders")->num_rows();
   QueryService svc(cat.get(), BenchConfig(workers));
-  obs::LatencyHistogram* wall = svc.metrics().FindHistogram("query_wall_us");
   // Readers and the writer run under separate sessions; the writer keeps
   // autocommit OFF so statements stage into its write set until the
   // explicit COMMIT — the legacy staged-delta behaviour, expressed
@@ -453,7 +344,6 @@ JsonRow RunMixedDmlPhase(int workers, int n_rounds, int selects_per_round,
   // Warm the plan cache and the pool with every pattern.
   run_wave(24, 0);
   svc.recycler().ResetStats();
-  wall->Reset();
 
   // Inserted orders take keys strictly above every generated one (derived,
   // not assumed — generated keys scale with SF), so the periodic DELETE
@@ -494,15 +384,12 @@ JsonRow RunMixedDmlPhase(int workers, int n_rounds, int selects_per_round,
   }
   double secs = sw.ElapsedSeconds();
   ServiceStats mixed = svc.SnapshotStats();
-  obs::LatencyHistogram::Snapshot hist = wall->snapshot();
 
   // Post-update replay: the last commit was insert-only, so refreshed
   // entries must keep answering the select-over-bind patterns.
   svc.recycler().ResetStats();
   run_wave(2 * selects_per_round, 0);
   RecyclerStats post = svc.recycler().stats();
-  double post_hit_ratio =
-      post.monitored ? static_cast<double>(post.hits) / post.monitored : 0.0;
 
   std::printf("mixed SELECT+DML (%d workers, %d rounds, %d selects/round)\n",
               workers, n_rounds, selects_per_round);
@@ -518,7 +405,7 @@ JsonRow RunMixedDmlPhase(int workers, int n_rounds, int selects_per_round,
   std::printf(
       "  post-update wave: hit ratio %.2f (hits=%llu monitored=%llu), "
       "orders rows %zu -> %zu\n",
-      post_hit_ratio, static_cast<unsigned long long>(post.hits),
+      HitRatio(post), static_cast<unsigned long long>(post.hits),
       static_cast<unsigned long long>(post.monitored), base_rows,
       cat->FindTable("orders")->num_rows());
 
@@ -526,16 +413,10 @@ JsonRow RunMixedDmlPhase(int workers, int n_rounds, int selects_per_round,
   row.phase = "sql_dml_mixed";
   row.load = "mixed";
   row.workers = workers;
-  row.qps = n_statements / secs;
-  row.hit_ratio = post_hit_ratio;
-  row.pool_hits = post.hits;
-  row.has_dml = true;
-  row.propagated = mixed.pool_propagated;
-  row.invalidated = mixed.pool_invalidated;
-  row.dml_commits = mixed.dml_commits;
-  row.has_latency = true;
-  row.p50_us = hist.Percentile(50);
-  row.p99_us = hist.Percentile(99);
+  row.hit_ratio = HitRatio(post);
+  row.counters = {{"propagated", mixed.pool_propagated},
+                  {"invalidated", mixed.pool_invalidated},
+                  {"dml_commits", mixed.dml_commits}};
 
   // The richest service of the run (DML events, every counter family): its
   // metrics dump is what CI uploads as the machine-readable artifact.
@@ -551,157 +432,13 @@ JsonRow RunMixedDmlPhase(int workers, int n_rounds, int selects_per_round,
   return row;
 }
 
-/// Transaction-mixed phase: concurrent multi-statement UPDATE transactions
-/// racing over overlapping key bands (BEGIN; UPDATE ...; COMMIT, with a
-/// periodic ROLLBACK) while snapshot SELECT waves read beside them. Under
-/// first-writer-wins, WriteConflict commits are EXPECTED outcomes — a loser
-/// simply lost the race — so only non-conflict errors abort the phase.
-/// Reported (and written to --json as phase="txn_mixed"): mixed throughput
-/// (reader + writer statements per second), the service's transaction
-/// counters (committed / conflicts / rolled back), and the post-churn pool
-/// hit ratio — a replay wave after the writers finish, measuring how much
-/// of the pool an update-transaction workload leaves in usable form.
-JsonRow RunTxnMixedPhase(int workers, int n_writers, int rounds,
-                         int selects_per_round) {
-  auto cat = MakeTpchDb(BenchSf());
-  QueryService svc(cat.get(), BenchConfig(workers));
-  obs::LatencyHistogram* wall = svc.metrics().FindHistogram("query_wall_us");
-  Session select_sess;
-
-  auto select_sql = [](int i) -> std::string {
-    int y = 1993 + (i % 4);
-    if (i % 2 == 0)
-      return StrFormat(
-          "select count(*) from orders where o_orderdate >= date '%d-01-01'",
-          y);
-    return StrFormat(
-        "select sum(o_totalprice) from orders where o_orderdate >= "
-        "date '%d-01-01'",
-        y);
-  };
-  auto run_wave = [&](int n, int offset) {
-    std::vector<std::future<Result<QueryResult>>> futs;
-    futs.reserve(n);
-    for (int i = 0; i < n; ++i)
-      futs.push_back(
-          svc.Submit(Request{select_sql(offset + i), &select_sess, {}})
-              .future);
-    for (auto& f : futs) {
-      auto r = f.get();
-      if (!r.ok()) {
-        std::fprintf(stderr, "txn-mixed select failed: %s\n",
-                     r.status().ToString().c_str());
-        std::abort();
-      }
-    }
-  };
-
-  run_wave(16, 0);  // warm plans + pool
-  svc.recycler().ResetStats();
-  wall->Reset();
-
-  std::atomic<uint64_t> writer_statements{0};
-  std::atomic<int> writers_finished{0};
-  StopWatch sw;
-  std::vector<std::thread> writers;
-  writers.reserve(n_writers);
-  for (int t = 0; t < n_writers; ++t) {
-    writers.emplace_back([&, t] {
-      Session sess;
-      Rng wrng(9100 + static_cast<uint64_t>(t));
-      auto exec = [&](const std::string& stmt) -> Status {
-        auto r = svc.Submit(Request{stmt, &sess, {}}).future.get();
-        writer_statements.fetch_add(1, std::memory_order_relaxed);
-        return r.ok() ? Status::OK() : r.status();
-      };
-      for (int r = 0; r < rounds; ++r) {
-        Status st = exec("begin");
-        if (!st.ok()) std::abort();
-        // Half the transactions target one shared low band — guaranteed
-        // overlap across writers (conflicts); the rest stay in a private
-        // per-writer band (clean commits).
-        const unsigned long long lo =
-            wrng.Uniform(2) == 0
-                ? 0
-                : 32ull + static_cast<unsigned long long>(t) * 24;
-        st = exec(StrFormat(
-            "update orders set o_totalprice = o_totalprice + 1 "
-            "where o_orderkey >= %llu and o_orderkey < %llu",
-            lo, lo + 24));
-        if (!st.ok()) std::abort();  // in-txn UPDATE itself cannot conflict
-        if (r % 7 == 3) {
-          if (!exec("rollback").ok()) std::abort();
-          continue;
-        }
-        st = exec("commit");
-        if (!st.ok() && st.code() != StatusCode::kWriteConflict)
-          std::abort();  // conflicts are expected; anything else is a bug
-      }
-      writers_finished.fetch_add(1, std::memory_order_release);
-    });
-  }
-  // Reader waves run for as long as the writers do — snapshot reads beside
-  // committing transactions, the paper's multi-user mix.
-  int n_selects = 0;
-  for (int r = 0; writers_finished.load(std::memory_order_acquire) < n_writers;
-       ++r) {
-    run_wave(selects_per_round, r * selects_per_round);
-    n_selects += selects_per_round;
-  }
-  for (auto& th : writers) th.join();
-  double secs = sw.ElapsedSeconds();
-  ServiceStats s = svc.SnapshotStats();
-  obs::LatencyHistogram::Snapshot hist = wall->snapshot();
-
-  // Post-churn replay: what the transaction workload left in the pool.
-  svc.recycler().ResetStats();
-  run_wave(2 * selects_per_round, 0);
-  RecyclerStats post = svc.recycler().stats();
-  double post_hit_ratio =
-      post.monitored ? static_cast<double>(post.hits) / post.monitored : 0.0;
-
-  const double n_statements =
-      static_cast<double>(n_selects) +
-      static_cast<double>(writer_statements.load(std::memory_order_relaxed));
-  std::printf(
-      "txn mixed (%d workers, %d writer sessions x %d txns, %d selects/wave)\n",
-      workers, n_writers, rounds, selects_per_round);
-  std::printf(
-      "  qps=%.1f  committed=%llu conflicts=%llu rolled-back=%llu "
-      "updated-rows=%llu\n",
-      n_statements / secs, static_cast<unsigned long long>(s.txn_committed),
-      static_cast<unsigned long long>(s.txn_conflicts),
-      static_cast<unsigned long long>(s.txn_rolled_back),
-      static_cast<unsigned long long>(s.dml_updated_rows));
-  std::printf("  post-churn wave: hit ratio %.2f (hits=%llu monitored=%llu)\n",
-              post_hit_ratio, static_cast<unsigned long long>(post.hits),
-              static_cast<unsigned long long>(post.monitored));
-
-  JsonRow row;
-  row.phase = "txn_mixed";
-  row.load = "mixed";
-  row.workers = workers;
-  row.qps = n_statements / secs;
-  row.hit_ratio = post_hit_ratio;
-  row.pool_hits = post.hits;
-  row.has_txn = true;
-  row.txn_committed = s.txn_committed;
-  row.txn_conflicts = s.txn_conflicts;
-  row.txn_rolled_back = s.txn_rolled_back;
-  row.has_latency = true;
-  row.p50_us = hist.Percentile(50);
-  row.p99_us = hist.Percentile(99);
-  return row;
-}
-
 /// Bounded-memory serving: the same hot workload under a FIXED recycle-pool
 /// byte budget — per-stripe leases, stripe-local eviction, borrowing
-/// through the governor's atomic ledger. Reported (and gated by
-/// check_regression.py): throughput, the steady-state hit ratio under
-/// eviction pressure, and the governance counters — budget-forced
-/// evictions and lease borrows. An admission-path regression back to the
-/// all-stripe lock shows up as a qps collapse; a governance regression
-/// shows up in the counters.
+/// through the governor's atomic ledger. Gated by check_regression.py: the
+/// steady-state hit ratio under eviction pressure and the budget-forced
+/// eviction count (a collapse means the budget stopped binding). Lease
+/// borrows are printed but not gated: which stripe crosses its fair share
+/// first is scheduling-dependent.
 JsonRow RunBoundedMemoryPhase(Catalog* cat,
                               const std::vector<tpch::QueryTemplate>& templates,
                               int workers, int n_queries) {
@@ -709,7 +446,6 @@ JsonRow RunBoundedMemoryPhase(Catalog* cat,
   cfg.recycler.max_bytes = 1024 * 1024;  // fixed budget, deliberately tight
   cfg.recycler.eviction = EvictionKind::kLru;
   QueryService svc(cat, cfg);
-  obs::LatencyHistogram* wall = svc.metrics().FindHistogram("query_wall_us");
 
   // More distinct parameter vectors than the hot phase: enough working set
   // to keep the budget under continuous pressure, enough repetition that
@@ -723,7 +459,6 @@ JsonRow RunBoundedMemoryPhase(Catalog* cat,
     }
   }
   svc.recycler().ResetStats();
-  wall->Reset();
   StopWatch sw;
   std::vector<Result<QueryResult>> results = svc.RunBatch(w.queries);
   double secs = sw.ElapsedSeconds();
@@ -746,10 +481,8 @@ JsonRow RunBoundedMemoryPhase(Catalog* cat,
       "bounded memory (%d workers, %zu KB budget, %d queries)\n"
       "  qps=%.1f hit-ratio=%.2f evicted=%llu borrows=%llu rebalances=%llu "
       "all-stripe-ops=%llu pool=%zu/%zu KB\n",
-      workers, cfg.recycler.max_bytes / 1024, n_queries,
-      n_queries / secs,
-      rs.monitored ? static_cast<double>(rs.hits) / rs.monitored : 0.0,
-      static_cast<unsigned long long>(rs.evicted),
+      workers, cfg.recycler.max_bytes / 1024, n_queries, n_queries / secs,
+      HitRatio(rs), static_cast<unsigned long long>(rs.evicted),
       static_cast<unsigned long long>(s.pool_borrows),
       static_cast<unsigned long long>(s.pool_rebalances),
       static_cast<unsigned long long>(s.pool_all_stripe_ops),
@@ -759,29 +492,20 @@ JsonRow RunBoundedMemoryPhase(Catalog* cat,
   row.phase = "bounded_memory";
   row.load = "hot";
   row.workers = workers;
-  row.qps = n_queries / secs;
-  row.hit_ratio =
-      rs.monitored ? static_cast<double>(rs.hits) / rs.monitored : 0.0;
-  row.pool_hits = rs.hits;
-  row.has_budget = true;
-  row.evicted = rs.evicted;
-  row.borrows = s.pool_borrows;
-  obs::LatencyHistogram::Snapshot hist = wall->snapshot();
-  row.has_latency = true;
-  row.p50_us = hist.Percentile(50);
-  row.p99_us = hist.Percentile(99);
+  row.hit_ratio = HitRatio(rs);
+  row.counters = {{"evicted", rs.evicted}};
   return row;
 }
 
 /// Encoded-intermediates bounded-memory ablation: the bounded_memory
 /// workload twice on a private TPC-H copy — once raw, once after
-/// Catalog::BuildEncodings() with SetEncodedIntermediates(true) — under the
-/// IDENTICAL 1 MB budget. Recycled entries are charged at encoded size, so
-/// the encoded run fits more of the working set and must post a strictly
-/// higher steady-state hit ratio (gated within-run by check_regression.py,
-/// like rel_qps: machine-independent). The row also carries the end-of-run
-/// pool gauges pool_encoded_bytes / encoding_savings_bytes; the latter must
-/// be positive or the encoding layer silently stopped producing.
+/// Catalog::BuildEncodings(), whose encoded columns make TakeSide gathers
+/// produce encoded intermediates — under the IDENTICAL 1 MB budget.
+/// Recycled entries are charged at encoded size, so the encoded run fits
+/// more of the working set and must post a strictly higher steady-state hit
+/// ratio (gated within-run by check_regression.py: machine-independent).
+/// The row also carries the end-of-run pool gauge encoding_savings_bytes,
+/// which must be positive or the encoding layer silently stopped producing.
 JsonRow RunBoundedMemoryEncodedPhase(
     const std::vector<tpch::QueryTemplate>& templates, int workers,
     int n_queries) {
@@ -793,9 +517,7 @@ JsonRow RunBoundedMemoryEncodedPhase(
   struct SubRun {
     double qps = 0;
     double hit_ratio = 0;
-    uint64_t hits = 0;
     uint64_t evicted = 0;
-    uint64_t borrows = 0;
     size_t enc_bytes = 0;
     size_t save_bytes = 0;
   };
@@ -828,14 +550,10 @@ JsonRow RunBoundedMemoryEncodedPhase(
       std::abort();
     }
     RecyclerStats rs = svc.recycler().stats();
-    ServiceStats s = svc.SnapshotStats();
     SubRun out;
     out.qps = n_queries / secs;
-    out.hit_ratio =
-        rs.monitored ? static_cast<double>(rs.hits) / rs.monitored : 0.0;
-    out.hits = rs.hits;
+    out.hit_ratio = HitRatio(rs);
     out.evicted = rs.evicted;
-    out.borrows = s.pool_borrows;
     out.enc_bytes = svc.recycler().pool_encoded_bytes();
     out.save_bytes = svc.recycler().encoding_savings_bytes();
     return out;
@@ -843,9 +561,7 @@ JsonRow RunBoundedMemoryEncodedPhase(
 
   SubRun raw = run("raw");
   size_t ncols = cat->BuildEncodings();
-  SetEncodedIntermediates(true);
   SubRun enc = run("encoded");
-  SetEncodedIntermediates(false);
 
   std::printf(
       "bounded memory, encoded intermediates (%d workers, 1024 KB budget, "
@@ -862,16 +578,10 @@ JsonRow RunBoundedMemoryEncodedPhase(
   row.phase = "bounded_memory";
   row.load = "encoded";
   row.workers = workers;
-  row.qps = enc.qps;
   row.hit_ratio = enc.hit_ratio;
-  row.pool_hits = enc.hits;
-  row.has_budget = true;
-  row.evicted = enc.evicted;
-  row.borrows = enc.borrows;
-  row.has_enc = true;
-  row.raw_hit_ratio = raw.hit_ratio;
-  row.pool_encoded_bytes = enc.enc_bytes;
-  row.encoding_savings_bytes = enc.save_bytes;
+  row.counters = {{"evicted", enc.evicted},
+                  {"encoding_savings_bytes", enc.save_bytes}};
+  row.ratios = {{"raw_hit_ratio", raw.hit_ratio}};
   return row;
 }
 
@@ -945,10 +655,9 @@ JsonRow MakeKernelRow(const char* phase, const KernelTiming& t) {
   row.phase = phase;
   row.load = "vec";
   row.workers = 1;
-  row.qps = 1.0 / t.vec_secs;  // kernel invocations per second
-  row.has_rel = true;
-  row.rel_qps = t.rel;
-  std::printf("  %-18s %9.1f /s %8.2fx\n", phase, row.qps, row.rel_qps);
+  row.ratios = {{"rel_qps", t.rel}};
+  // Kernel invocations per second.
+  std::printf("  %-18s %9.1f /s %8.2fx\n", phase, 1.0 / t.vec_secs, t.rel);
   return row;
 }
 
@@ -1088,14 +797,14 @@ std::vector<JsonRow> RunKernelPhases() {
   return rows;
 }
 
+
 /// Tracing-overhead ablation: the hot workload at three trace settings —
 /// off (the default), 1-in-64 sampling, and always-on — reported as
 /// throughput RELATIVE to the untraced run of this same phase. The ratio is
-/// machine-independent, so check_regression.py gates it even where absolute
-/// qps is advisory: traced-off must stay at parity (the untraced hot path
-/// pays one branch), sampling must stay near parity; always-on is reported
-/// but not gated (its cost is proportional to monitored instructions by
-/// design).
+/// machine-independent, so check_regression.py gates it on any host:
+/// traced-off must stay at parity (the untraced hot path pays one branch),
+/// sampling must stay near parity; always-on is reported but not gated (its
+/// cost is proportional to monitored instructions by design).
 std::vector<JsonRow> RunTraceAblationPhase(
     Catalog* cat, const std::vector<tpch::QueryTemplate>& templates,
     int workers, int n_queries) {
@@ -1114,152 +823,17 @@ std::vector<JsonRow> RunTraceAblationPhase(
     Sample s = RunConfig(cat, w, workers, set.sample_n);
     if (set.sample_n == 0) base_qps = s.qps;
     double rel = base_qps > 0 ? s.qps / base_qps : 0;
-    std::printf(
-        "  %-9s qps=%-8.1f rel=%.3f p50=%lluus p99=%lluus hit-ratio=%.2f\n",
-        set.load, s.qps, rel, static_cast<unsigned long long>(s.p50_us),
-        static_cast<unsigned long long>(s.p99_us), s.hit_ratio);
+    std::printf("  %-9s qps=%-8.1f rel=%.3f hit-ratio=%.2f\n", set.load,
+                s.qps, rel, s.hit_ratio);
     JsonRow row;
     row.phase = "trace_ablation";
     row.load = set.load;
     row.workers = workers;
-    row.qps = s.qps;
     row.hit_ratio = s.hit_ratio;
-    row.pool_hits = s.pool_hits;
-    row.has_latency = true;
-    row.p50_us = s.p50_us;
-    row.p99_us = s.p99_us;
-    row.has_rel = true;
-    row.rel_qps = rel;
+    row.ratios = {{"rel_qps", rel}};
     rows.push_back(row);
   }
   return rows;
-}
-
-/// Network loopback phase: the mixed SELECT workload of the plan-cache
-/// phase, but submitted by real wire-protocol clients over 127.0.0.1 —
-/// N blocking connections multiplexed onto the shared worker pool by the
-/// poll-driven server. Every query crosses encode → TCP → decode → admission
-/// → service → result-set encode → client decode, so the reported qps is
-/// end-to-end protocol throughput and the latency percentiles come from the
-/// server's net_request_us histogram (receive-to-flush per request).
-/// Clients share one recycler pool, so the hit ratio measures
-/// cross-connection intermediate reuse — the paper's multi-user scenario
-/// over an actual socket.
-JsonRow RunNetLoopbackPhase(Catalog* cat, int workers, int n_clients,
-                            int queries_per_client) {
-  QueryService svc(cat, BenchConfig(workers));
-  net::NetConfig ncfg;
-  ncfg.port = 0;  // ephemeral
-  net::RecycleServer server(&svc, ncfg);
-  Status st = server.Start();
-  if (!st.ok()) {
-    std::fprintf(stderr, "net server start failed: %s\n",
-                 st.ToString().c_str());
-    std::abort();
-  }
-
-  // Deterministic literal pools (no shared RNG across client threads): 12
-  // distinct query texts over 3 fingerprints, so both the plan cache and
-  // the recycle pool see heavy inter-connection commonality.
-  auto sql_for = [](int i) -> std::string {
-    int y = 1993 + (i % 4);
-    switch (i % 3) {
-      case 0:
-        return StrFormat(
-            "select count(*) from orders where o_orderdate >= date "
-            "'%d-01-01'",
-            y);
-      case 1:
-        return StrFormat(
-            "select o_orderpriority, count(*) from orders where o_orderdate "
-            "between date '%d-01-01' and date '%d-06-01' "
-            "group by o_orderpriority",
-            y, y);
-      default:
-        return StrFormat(
-            "select sum(o_totalprice) from orders where o_orderdate >= "
-            "date '%d-01-01'",
-            y);
-    }
-  };
-
-  net::ClientConfig ccfg;
-  ccfg.port = server.port();
-
-  // Warm one connection through every distinct text, then measure from a
-  // clean window: the timed clients should hit the shared pool, not pay
-  // first-compile and first-execute costs.
-  {
-    net::Client warm;
-    st = warm.Connect(ccfg);
-    if (!st.ok()) {
-      std::fprintf(stderr, "warm connect failed: %s\n", st.ToString().c_str());
-      std::abort();
-    }
-    for (int i = 0; i < 12; ++i) {
-      auto r = warm.Query(sql_for(i));
-      if (!r.ok()) {
-        std::fprintf(stderr, "warm query failed: %s\n",
-                     r.status().ToString().c_str());
-        std::abort();
-      }
-    }
-    warm.Close();
-  }
-  svc.recycler().ResetStats();
-  obs::LatencyHistogram* req = svc.metrics().FindHistogram("net_request_us");
-  req->Reset();
-
-  std::atomic<int> failed{0};
-  StopWatch sw;
-  std::vector<std::thread> clients;
-  clients.reserve(n_clients);
-  for (int t = 0; t < n_clients; ++t) {
-    clients.emplace_back([&, t] {
-      net::Client c;
-      if (!c.Connect(ccfg).ok()) {
-        failed.fetch_add(queries_per_client);
-        return;
-      }
-      for (int i = 0; i < queries_per_client; ++i) {
-        auto r = c.Query(sql_for(t + i));
-        if (!r.ok()) failed.fetch_add(1);
-      }
-      c.Close();
-    });
-  }
-  for (auto& th : clients) th.join();
-  double secs = sw.ElapsedSeconds();
-  server.Stop();
-  if (failed.load() != 0) {
-    std::fprintf(stderr, "net loopback: %d request(s) failed\n", failed.load());
-    std::abort();
-  }
-
-  int total = n_clients * queries_per_client;
-  RecyclerStats rs = svc.recycler().stats();
-  obs::LatencyHistogram::Snapshot hist = req->snapshot();
-  std::printf("net loopback (%d workers, %d clients x %d queries)\n", workers,
-              n_clients, queries_per_client);
-  std::printf(
-      "  qps=%.1f  p50=%lluus p99=%lluus  hit-ratio=%.2f pool-hits=%llu\n",
-      total / secs, static_cast<unsigned long long>(hist.Percentile(50)),
-      static_cast<unsigned long long>(hist.Percentile(99)),
-      rs.monitored ? static_cast<double>(rs.hits) / rs.monitored : 0.0,
-      static_cast<unsigned long long>(rs.hits));
-
-  JsonRow row;
-  row.phase = "net_loopback";
-  row.load = "mixed";
-  row.workers = workers;
-  row.qps = total / secs;
-  row.hit_ratio =
-      rs.monitored ? static_cast<double>(rs.hits) / rs.monitored : 0.0;
-  row.pool_hits = rs.hits;
-  row.has_latency = true;
-  row.p50_us = hist.Percentile(50);
-  row.p99_us = hist.Percentile(99);
-  return row;
 }
 
 }  // namespace
@@ -1288,83 +862,39 @@ int main(int argc, char** argv) {
   std::vector<tpch::QueryTemplate> templates;
   for (int qn : {4, 11, 12, 18, 19}) templates.push_back(tpch::BuildQuery(qn));
 
-  std::vector<Workload> workloads;
-  workloads.push_back(MakeWorkload("hot ", templates, 2, 2000, 7001));
-  workloads.push_back(MakeWorkload("cold", templates, 0, 400, 7002));
-
-  int max_workers = EnvMaxWorkers();
-  std::printf("concurrent throughput, best of 3 reps, hw threads=%u\n",
-              std::thread::hardware_concurrency());
-  std::printf("%-5s %8s %10s %9s %10s %10s\n", "load", "workers", "qps",
-              "speedup", "hit-ratio", "pool-hits");
-  PrintRule(60);
-
+  // One worker: the hot and cold hit ratios are then deterministic.
   std::vector<JsonRow> rows;
-  double hot_1w = 0, hot_4w = 0;
-  for (const Workload& w : workloads) {
-    std::printf("%-5s (%zu queries/run)\n", w.name, w.queries.size());
-    double base_qps = 0;
-    for (int workers = 1; workers <= max_workers; workers *= 2) {
-      Sample s = RunConfig(cat.get(), w, workers);
-      if (workers == 1) base_qps = s.qps;
-      if (w.name[0] == 'h') {
-        if (workers == 1) hot_1w = s.qps;
-        if (workers == 4) hot_4w = s.qps;
-      }
-      std::printf("%-5s %8d %10.1f %8.2fx %9.2f %10llu\n", w.name, workers,
-                  s.qps, s.qps / base_qps, s.hit_ratio,
-                  static_cast<unsigned long long>(s.pool_hits));
-      JsonRow row;
-      row.phase = "throughput";
-      row.load = w.name[0] == 'h' ? "hot" : "cold";
-      row.workers = workers;
-      row.qps = s.qps;
-      row.hit_ratio = s.hit_ratio;
-      row.pool_hits = s.pool_hits;
-      row.has_latency = true;
-      row.p50_us = s.p50_us;
-      row.p99_us = s.p99_us;
-      rows.push_back(row);
-    }
-    PrintRule(60);
+  std::printf("hot/cold workloads, 1 worker, best of 3 reps\n");
+  std::printf("%-5s %10s %10s\n", "load", "qps", "hit-ratio");
+  PrintRule(27);
+  for (const Workload& w : {MakeWorkload("hot", templates, 2, 2000, 7001),
+                            MakeWorkload("cold", templates, 0, 400, 7002)}) {
+    Sample s = RunConfig(cat.get(), w, 1);
+    std::printf("%-5s %10.1f %10.2f\n", w.name, s.qps, s.hit_ratio);
+    JsonRow row;
+    row.phase = "throughput";
+    row.load = w.name;
+    row.workers = 1;
+    row.hit_ratio = s.hit_ratio;
+    rows.push_back(row);
   }
+  PrintRule(27);
 
-  if (hot_1w > 0 && hot_4w > 0) {
-    std::printf("hot workload, 4 vs 1 workers: %.2fx throughput %s\n",
-                hot_4w / hot_1w,
-                hot_4w / hot_1w > 1.5 ? "(scales)" : "(NOT scaling)");
-  }
-  rows.push_back(RunPlanCachePhase(cat.get(), std::min(4, max_workers), 500));
-  // 12 rounds x 600 selects keeps the timed window comparable to the other
-  // gated phases (short windows make the qps gate flake-prone).
-  rows.push_back(
-      RunMixedDmlPhase(std::min(4, max_workers), 12, 600, metrics_path));
-  rows.push_back(RunBoundedMemoryPhase(cat.get(), templates,
-                                       std::min(4, max_workers), 1500));
-  rows.push_back(RunBoundedMemoryEncodedPhase(templates,
-                                              std::min(4, max_workers), 1500));
+  const int max_workers = EnvMaxWorkers();
+  const int workers = std::min(4, max_workers);
+  rows.push_back(RunPlanCachePhase(cat.get(), workers, 500));
+  rows.push_back(RunMixedDmlPhase(workers, 12, 600, metrics_path));
+  rows.push_back(RunBoundedMemoryPhase(cat.get(), templates, workers, 1500));
+  rows.push_back(RunBoundedMemoryEncodedPhase(templates, workers, 1500));
   for (JsonRow& r : RunKernelPhases()) rows.push_back(std::move(r));
-  for (JsonRow& r : RunTraceAblationPhase(cat.get(), templates,
-                                          std::min(4, max_workers), 1500))
+  for (JsonRow& r :
+       RunTraceAblationPhase(cat.get(), templates, workers, 1500))
     rows.push_back(std::move(r));
-  rows.push_back(
-      RunNetLoopbackPhase(cat.get(), std::min(4, max_workers), 4, 150));
-  rows.push_back(
-      RunTxnMixedPhase(std::min(4, max_workers), /*n_writers=*/3,
-                       /*rounds=*/40, /*selects_per_round=*/60));
 
   if (!json_path.empty()) {
     WriteJson(json_path, BenchSf(), max_workers,
               BenchConfig(1).recycler.pool_stripes, rows);
     std::printf("wrote %s\n", json_path.c_str());
-  }
-
-  if (std::thread::hardware_concurrency() < 4) {
-    std::printf(
-        "note: this host exposes %u hardware thread(s); worker counts above\n"
-        "that measure lock/queue overhead only — parallel speedup needs a\n"
-        "multi-core host.\n",
-        std::thread::hardware_concurrency());
   }
   return 0;
 }

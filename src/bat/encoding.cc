@@ -1,6 +1,5 @@
 #include "bat/encoding.h"
 
-#include <atomic>
 #include <unordered_map>
 
 #include "util/check.h"
@@ -8,8 +7,6 @@
 namespace recycledb {
 
 namespace {
-
-std::atomic<bool> g_encoded_intermediates{false};
 
 struct CodeSizeVisitor {
   template <typename C>
@@ -48,14 +45,6 @@ std::vector<C> ForCodes(const std::vector<T>& vals, uint64_t base) {
 }
 
 }  // namespace
-
-bool EncodedIntermediatesEnabled() {
-  return g_encoded_intermediates.load(std::memory_order_relaxed);
-}
-
-void SetEncodedIntermediates(bool on) {
-  g_encoded_intermediates.store(on, std::memory_order_relaxed);
-}
 
 ColumnEncoding::ColumnEncoding(
     Kind kind, Codes codes, int64_t base,

@@ -32,7 +32,8 @@ using EncodingPtr = std::shared_ptr<const ColumnEncoding>;
 /// An encoding is immutable and hangs off a Column either as a sidecar next
 /// to raw storage (persistent columns, see Catalog::BuildEncodings) or as
 /// the column's only representation (encoded-native intermediates, which
-/// decode lazily on first raw access — Column::Data).
+/// engine::TakeSide produces whenever it gathers out of an encoded column
+/// and which decode lazily on first raw access — Column::Data).
 class ColumnEncoding {
  public:
   enum class Kind { kFor, kDict };
@@ -112,14 +113,6 @@ class ColumnEncoding {
   bool owns_dict_ = false;
   size_t raw_bytes_ = 0;
 };
-
-/// Process-wide switch for producing encoded-native *intermediates*: when
-/// on, gathers out of encoded source columns (TakeSide) keep the compressed
-/// form instead of materialising raw values, so pool entries are charged at
-/// their encoded size. Off by default — every existing byte-accounting
-/// invariant is preserved unless a server/bench opts in.
-bool EncodedIntermediatesEnabled();
-void SetEncodedIntermediates(bool on);
 
 }  // namespace recycledb
 

@@ -745,6 +745,7 @@ size_t Catalog::BuildEncodings() {
     for (size_t ci = 0; ci < t->num_columns(); ++ci) try_attach(t->column(ci));
   }
   for (const auto& idx : indices_) try_attach(idx.map);
+  if (encoded > 0) has_encodings_ = true;
   return encoded;
 }
 

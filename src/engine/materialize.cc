@@ -6,6 +6,9 @@ namespace recycledb::engine {
 
 namespace {
 
+/// Set by EncodedGatherScope for the thread's current program run.
+thread_local bool t_encode_dense_gathers = false;
+
 bool IncreasingSel(const SelVector& sel) {
   for (size_t k = 1; k < sel.size(); ++k) {
     if (sel[k] <= sel[k - 1]) return false;
@@ -15,6 +18,13 @@ bool IncreasingSel(const SelVector& sel) {
 
 }  // namespace
 
+EncodedGatherScope::EncodedGatherScope(bool on)
+    : prev_(t_encode_dense_gathers) {
+  t_encode_dense_gathers = on;
+}
+
+EncodedGatherScope::~EncodedGatherScope() { t_encode_dense_gathers = prev_; }
+
 BatSide TakeSide(const BatSide& side, size_t count, const SelVector& sel) {
   (void)count;
   if (side.dense()) {
@@ -23,7 +33,7 @@ BatSide TakeSide(const BatSide& side, size_t count, const SelVector& sel) {
     for (uint32_t i : sel) out.push_back(side.seq + i);
     // A gather from a dense sequence at increasing positions stays sorted.
     bool increasing = IncreasingSel(sel);
-    if (EncodedIntermediatesEnabled()) {
+    if (t_encode_dense_gathers) {
       // Compress the fresh oid run: dense-derived gathers are the dominant
       // intermediate shape, and FOR usually narrows them to u16/u32 codes.
       if (EncodingPtr enc = ColumnEncoding::TryFor<Oid>(out)) {
@@ -39,16 +49,14 @@ BatSide TakeSide(const BatSide& side, size_t count, const SelVector& sel) {
     return BatSide::Materialized(std::move(col));
   }
   TypeTag t = side.type;
-  if (EncodedIntermediatesEnabled()) {
-    // Gather in code space: the result column carries the (shared-dict or
-    // same-base) encoding and is charged to the recycler at encoded size;
-    // downstream kernels consume the codes without decompressing.
-    if (EncodingPtr enc = side.col->shared_encoding()) {
-      if (EncodingPtr g = ColumnEncoding::Gather(*enc, side.offset, sel)) {
-        auto col = Column::MakeEncoded(t, std::move(g));
-        if (side.col->sorted() && IncreasingSel(sel)) col->set_sorted(true);
-        return BatSide::Materialized(std::move(col));
-      }
+  // An encoded source gathers in code space: the result column carries the
+  // (shared-dict or same-base) encoding and is charged to the recycler at
+  // encoded size; downstream kernels consume the codes without decompressing.
+  if (EncodingPtr enc = side.col->shared_encoding()) {
+    if (EncodingPtr g = ColumnEncoding::Gather(*enc, side.offset, sel)) {
+      auto col = Column::MakeEncoded(t, std::move(g));
+      if (side.col->sorted() && IncreasingSel(sel)) col->set_sorted(true);
+      return BatSide::Materialized(std::move(col));
     }
   }
   return VisitPhysical(t, [&](auto tag) -> BatSide {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "engine/materialize.h"
 #include "engine/operators.h"
 #include "util/check.h"
 #include "util/timer.h"
@@ -271,6 +272,7 @@ Result<QueryResult> Interpreter::Run(const Program& prog,
     return Status::InvalidArgument("parameter count mismatch");
   StopWatch total;
   last_run_ = RunStats();
+  engine::EncodedGatherScope encoded_gathers(catalog_->has_encodings());
 
   std::vector<MalValue> stack(prog.vars.size());
   std::vector<std::vector<ColumnId>> deps(prog.vars.size());

@@ -1,6 +1,6 @@
-// Recycler decision parity under encoded intermediates: turning on
-// compressed pool entries (Catalog::BuildEncodings +
-// SetEncodedIntermediates) must not change WHAT the recycler does — same
+// Recycler decision parity under encoded intermediates: compressed pool
+// entries (Catalog::BuildEncodings, after which gathers out of encoded
+// columns stay encoded) must not change WHAT the recycler does — same
 // hits, same admissions, same subsumption reuse, same entry multiset — only
 // how many bytes the entries occupy. A fig4-style workload (kKeepAll,
 // unlimited budget) replays on two identically-loaded catalogs, one raw and
@@ -14,7 +14,6 @@
 #include <string>
 #include <vector>
 
-#include "bat/encoding.h"
 #include "core/recycler.h"
 #include "core/recycler_optimizer.h"
 #include "interp/interpreter.h"
@@ -23,12 +22,6 @@
 
 namespace recycledb {
 namespace {
-
-/// Restores the process-wide encoded-intermediates switch on scope exit so
-/// a failing assertion cannot leak the flag into unrelated tests.
-struct EncodedFlagGuard {
-  ~EncodedFlagGuard() { SetEncodedIntermediates(false); }
-};
 
 std::unique_ptr<Catalog> LoadTinyTpch() {
   auto c = std::make_unique<Catalog>();
@@ -96,19 +89,17 @@ RunOutcome RunBatch(Catalog* cat, const Batch& b) {
 }
 
 TEST(EncodingParityTest, Fig4WorkloadDecisionsUnchangedByEncoding) {
-  EncodedFlagGuard guard;
   Batch b = MakeBatch({11, 18, 19}, 5, 42);
 
   auto raw_cat = LoadTinyTpch();
-  ASSERT_FALSE(EncodedIntermediatesEnabled());
+  ASSERT_FALSE(raw_cat->has_encodings());
   RunOutcome raw = RunBatch(raw_cat.get(), b);
 
   auto enc_cat = LoadTinyTpch();
   size_t ncols = enc_cat->BuildEncodings();
   EXPECT_GT(ncols, 0u) << "no TPC-H column was encodable";
-  SetEncodedIntermediates(true);
+  ASSERT_TRUE(enc_cat->has_encodings());
   RunOutcome enc = RunBatch(enc_cat.get(), b);
-  SetEncodedIntermediates(false);
 
   // Answers are the ground truth: encoding must be invisible to results.
   ASSERT_EQ(raw.answers, enc.answers);

@@ -1,7 +1,8 @@
 // Column-encoding round-trips (bat/encoding.h): FOR and dictionary codecs
 // must decode back to exactly the input — including in-band nil sentinels —
 // choose the narrowest code width that fits, and refuse when no narrower
-// representation exists. Plus the encoded-native Column contract: lazy
+// representation exists. Dense-side gathers encode only inside an
+// engine::EncodedGatherScope. Plus the encoded-native Column contract: lazy
 // decode is value-correct, thread-safe, and never shifts MemoryBytes().
 
 #include <gtest/gtest.h>
@@ -11,6 +12,7 @@
 
 #include "bat/column.h"
 #include "bat/encoding.h"
+#include "engine/materialize.h"
 #include "util/rng.h"
 
 namespace recycledb {
@@ -167,6 +169,26 @@ TEST(GatherTest, DictGatherSharesDictionaryAndChargesCodesOnly) {
   std::vector<std::string> back;
   sub->DecodeStrings(&back);
   EXPECT_EQ(back, (std::vector<std::string>{"cc", "aa"}));
+}
+
+TEST(GatherTest, DenseGathersEncodeOnlyInsideAScope) {
+  const BatSide dense = BatSide::Dense(1000);
+  const engine::SelVector sel{1, 5, 9, 200};
+  const std::vector<Oid> want{1001, 1005, 1009, 1200};
+  EXPECT_FALSE(engine::TakeSide(dense, 0, sel).col->encoded_native());
+  {
+    engine::EncodedGatherScope encoded(true);
+    BatSide s = engine::TakeSide(dense, 0, sel);
+    ASSERT_TRUE(s.col->encoded_native());
+    EXPECT_EQ(s.col->Data<Oid>(), want);
+    {
+      engine::EncodedGatherScope raw(false);
+      EXPECT_FALSE(engine::TakeSide(dense, 0, sel).col->encoded_native());
+    }
+    EXPECT_TRUE(engine::TakeSide(dense, 0, sel).col->encoded_native())
+        << "an inner scope must restore the outer state on exit";
+  }
+  EXPECT_FALSE(engine::TakeSide(dense, 0, sel).col->encoded_native());
 }
 
 // --- encoded-native columns (lazy decode) -----------------------------------

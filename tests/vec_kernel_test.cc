@@ -340,19 +340,20 @@ TEST(VecKernelParityTest, EncodedLikeMatchesRaw) {
   }
 }
 
-/// Flipping the encoded-intermediates switch must never change answers,
-/// only the physical representation of gathered intermediates.
-TEST(VecKernelParityTest, EncodedIntermediatesFlagPreservesResults) {
+/// An encoding sidecar must never change answers, only the physical
+/// representation of gathered intermediates.
+TEST(VecKernelParityTest, EncodedIntermediatesPreserveResults) {
   Rng rng(211);
   std::vector<int32_t> vals(2000);
   for (auto& v : vals)
     v = static_cast<int32_t>(rng.Uniform(250)) + 100;
+  auto raw_col = Column::Make(TypeTag::kInt, std::vector<int32_t>(vals));
   auto col = Column::Make(TypeTag::kInt, std::move(vals));
   col->AttachEncoding(ColumnEncoding::TryFor<int32_t>(col->Data<int32_t>()));
   ASSERT_NE(col->encoding(), nullptr);
-  BatPtr b = Bat::DenseHead(col);
+  ASSERT_EQ(raw_col->encoding(), nullptr);
 
-  auto run = [&] {
+  auto run = [](const BatPtr& b) {
     // select -> aggregate, the gather chain TakeSide serves.
     auto sel =
         engine::Select(b, Scalar::Int(150), Scalar::Int(250), true, true)
@@ -360,12 +361,9 @@ TEST(VecKernelParityTest, EncodedIntermediatesFlagPreservesResults) {
     return std::make_pair(sel, engine::Aggr(engine::AggFn::kSum, sel)
                                    .ValueOrDie());
   };
-  ASSERT_FALSE(EncodedIntermediatesEnabled());
-  auto [raw_sel, raw_sum] = run();
-  SetEncodedIntermediates(true);
-  auto [enc_sel, enc_sum] = run();
-  SetEncodedIntermediates(false);
-  ExpectSameBat(raw_sel, enc_sel, "flag on/off parity");
+  auto [raw_sel, raw_sum] = run(Bat::DenseHead(raw_col));
+  auto [enc_sel, enc_sum] = run(Bat::DenseHead(col));
+  ExpectSameBat(raw_sel, enc_sel, "encoded/raw parity");
   EXPECT_EQ(raw_sum, enc_sum);
 }
 
