@@ -433,10 +433,10 @@ JsonRow RunMixedDmlPhase(int workers, int n_rounds, int selects_per_round,
 }
 
 /// Bounded-memory serving: the same hot workload under a FIXED recycle-pool
-/// byte budget — per-stripe leases, stripe-local eviction, borrowing
-/// through the governor's atomic ledger. Gated by check_regression.py: the
-/// steady-state hit ratio under eviction pressure and the budget-forced
-/// eviction count (a collapse means the budget stopped binding). Lease
+/// byte budget — per-stripe budget slots, stripe-local eviction, borrowing
+/// through the pool budget's atomic ledger. Gated by check_regression.py:
+/// the steady-state hit ratio under eviction pressure and the budget-forced
+/// eviction count (a collapse means the budget stopped binding). Slot
 /// borrows are printed but not gated: which stripe crosses its fair share
 /// first is scheduling-dependent.
 JsonRow RunBoundedMemoryPhase(Catalog* cat,

@@ -11,7 +11,6 @@
 // Shell commands:
 //   .help            this text
 //   .stats           service, plan-cache, and recycle-pool counters
-//   .gov             memory governance: budget domains, leases, borrows
 //   .pool [N]        dump the recycle pool head (bytes + last-touch ticks)
 //   .plan SELECT ... print the compiled MAL listing without running it
 //   .tables          list tables and row counts
@@ -115,7 +114,7 @@ void PrintStats(const QueryService& svc) {
               static_cast<unsigned long long>(s.pool_shared_locks),
               static_cast<unsigned long long>(s.pool_all_stripe_ops));
   if (s.pool_borrows + s.pool_borrow_denied + s.pool_rebalances > 0) {
-    std::printf("governance:  borrows=%llu denied=%llu rebalances=%llu\n",
+    std::printf("budget:      borrows=%llu denied=%llu rebalances=%llu\n",
                 static_cast<unsigned long long>(s.pool_borrows),
                 static_cast<unsigned long long>(s.pool_borrow_denied),
                 static_cast<unsigned long long>(s.pool_rebalances));
@@ -131,9 +130,9 @@ void PrintStats(const QueryService& svc) {
         i, st.entries, st.bytes, static_cast<unsigned long long>(st.hits),
         static_cast<unsigned long long>(st.excl_acquisitions),
         static_cast<unsigned long long>(st.shared_acquisitions));
-    if (st.lease_base_bytes != 0 || st.lease_held_bytes != 0) {
-      std::printf(" lease=%zu/%zuB borrows=%llu rebal=%llu",
-                  st.lease_held_bytes, st.lease_base_bytes,
+    if (st.budget_base_bytes != 0 || st.budget_held_bytes != 0) {
+      std::printf(" budget=%zu/%zuB borrows=%llu rebal=%llu",
+                  st.budget_held_bytes, st.budget_base_bytes,
                   static_cast<unsigned long long>(st.borrows),
                   static_cast<unsigned long long>(st.rebalances));
     }
@@ -141,43 +140,10 @@ void PrintStats(const QueryService& svc) {
   }
 }
 
-/// `.gov`: the unified memory-governance picture — every budget domain of
-/// the service's ResourceGovernor with its free ledger and leases (pool
-/// stripes, the plan cache), i.e. where every governed byte currently sits.
-void PrintGovernor(const QueryService& svc) {
-  std::vector<ResourceGovernor::DomainStats> domains = svc.governor().stats();
-  if (domains.empty()) {
-    std::printf(
-        "no budget domains (recycler unbounded or in GLOBAL-EXACT mode, "
-        "plan cache uncapped)\n");
-    return;
-  }
-  for (const auto& d : domains) {
-    std::printf("domain %-12s max=%zuB/%zu entries, free=%zuB/%zu, "
-                "pressure-epoch=%llu\n",
-                d.name.c_str(), d.max_bytes, d.max_entries, d.free_bytes,
-                d.free_entries,
-                static_cast<unsigned long long>(d.pressure_epoch));
-    for (const auto& l : d.leases) {
-      if (l.held_bytes == 0 && l.held_entries == 0 && l.borrows == 0 &&
-          l.denied == 0 && l.rebalances == 0)
-        continue;
-      std::printf(
-          "  lease %-10s held=%zuB/%zu base=%zuB/%zu borrows=%llu "
-          "denied=%llu rebalances=%llu\n",
-          l.name.c_str(), l.held_bytes, l.held_entries, l.base_bytes,
-          l.base_entries, static_cast<unsigned long long>(l.borrows),
-          static_cast<unsigned long long>(l.denied),
-          static_cast<unsigned long long>(l.rebalances));
-    }
-  }
-}
-
 void PrintHelp() {
   std::printf(
       ".help            this text\n"
       ".stats           service, plan-cache, and recycle-pool counters\n"
-      ".gov             memory governance: budget domains, leases, borrows\n"
       ".pool [N]        dump the recycle pool head (per-entry bytes and\n"
       "                 last-touch tick — what eviction decides on)\n"
       ".plan SELECT ... print the compiled MAL listing without running it\n"
@@ -392,10 +358,6 @@ int main(int argc, char** argv) {
     }
     if (line == ".stats") {
       PrintStats(svc);
-      continue;
-    }
-    if (line == ".gov") {
-      PrintGovernor(svc);
       continue;
     }
     if (line == ".pool" || line.rfind(".pool ", 0) == 0 ||

@@ -9,6 +9,42 @@
 
 namespace recycledb {
 
+namespace {
+
+/// One column after a write set: `src` compacted by the deleted-row bitmap
+/// (rows at or past `deleted.size()` are dropped), then value `ci` of every
+/// inserted row appended. `kept` is the surviving row count (a reserve
+/// hint). When `inserted` is non-null and the write set inserts rows, it
+/// receives a column of just the inserted values.
+ColumnPtr MergeColumn(TypeTag type, const Column& src,
+                      const std::vector<bool>& deleted, size_t kept,
+                      const std::vector<std::vector<Scalar>>& inserts,
+                      size_t ci, ColumnPtr* inserted) {
+  ColumnPtr merged;
+  VisitPhysical(type, [&](auto tag) {
+    using T = typename decltype(tag)::type;
+    const auto& data = src.Data<T>();
+    std::vector<T> fresh;
+    fresh.reserve(kept + inserts.size());
+    for (size_t i = 0; i < data.size() && i < deleted.size(); ++i) {
+      if (!deleted[i]) fresh.push_back(data[i]);
+    }
+    std::vector<T> ins;
+    ins.reserve(inserts.size());
+    for (const auto& row : inserts) ins.push_back(row[ci].Get<T>());
+    if (inserted != nullptr && !ins.empty())
+      *inserted = Column::Make(type, ins);
+    fresh.insert(fresh.end(), ins.begin(), ins.end());
+    auto col = Column::Make(type, std::move(fresh));
+    col->set_persistent(true);
+    col->ComputeSorted();
+    merged = std::move(col);
+  });
+  return merged;
+}
+
+}  // namespace
+
 Result<BatPtr> CatalogSnapshot::BindColumn(const std::string& table,
                                            const std::string& column) const {
   auto it = cols_.find({table, column});
@@ -505,32 +541,14 @@ Status Catalog::CommitWrite(TxnWriteSet* ws) {
       TypeTag ctype = t->defs_[ci].type;
       const ColumnPtr& old = t->cols_[ci];
       RDB_CHECK(old != nullptr);
-      VisitPhysical(ctype, [&](auto tag) {
-        using T = typename decltype(tag)::type;
-        const auto& src = old->Data<T>();
-        std::vector<T> fresh;
-        fresh.reserve(kept + delta.inserts.size());
-        for (size_t i = 0; i < src.size(); ++i) {
-          if (!deleted[i]) fresh.push_back(src[i]);
-        }
-        std::vector<T> ins;
-        ins.reserve(delta.inserts.size());
-        for (const auto& row : delta.inserts) {
-          ins.push_back(row[ci].Get<T>());
-        }
-        // Record the insert delta for §6.3 propagation before merging.
-        if (!ins.empty()) {
-          auto dcol = Column::Make(ctype, ins);
-          last_insert_delta_[{tid, static_cast<int>(ci)}] =
-              Bat::Make(BatSide::Dense(kept), BatSide::Materialized(dcol),
-                        ins.size());
-        }
-        fresh.insert(fresh.end(), ins.begin(), ins.end());
-        auto col = Column::Make(ctype, std::move(fresh));
-        col->set_persistent(true);
-        col->ComputeSorted();
-        t->cols_[ci] = std::move(col);
-      });
+      ColumnPtr ins;
+      t->cols_[ci] =
+          MergeColumn(ctype, *old, deleted, kept, delta.inserts, ci, &ins);
+      // Record the insert delta for §6.3 propagation.
+      if (ins != nullptr) {
+        last_insert_delta_[{tid, static_cast<int>(ci)}] = Bat::Make(
+            BatSide::Dense(kept), BatSide::Materialized(ins), ins->size());
+      }
       invalidated.push_back({tid, static_cast<int32_t>(ci)});
     }
     t->rows_ = kept + delta.inserts.size();
@@ -624,24 +642,8 @@ Result<CatalogSnapshotPtr> Catalog::OverlaySnapshot(
       const ColumnPtr& old = bound->tail().col;
       if (old == nullptr)
         return Status::Internal("overlay over non-materialized base column");
-      TypeTag ctype = t->defs_[ci].type;
-      ColumnPtr merged;
-      VisitPhysical(ctype, [&](auto tag) {
-        using T = typename decltype(tag)::type;
-        const auto& src = old->Data<T>();
-        std::vector<T> fresh;
-        fresh.reserve(kept + delta.inserts.size());
-        for (size_t i = 0; i < src.size() && i < base_rows; ++i) {
-          if (!deleted[i]) fresh.push_back(src[i]);
-        }
-        for (const auto& row : delta.inserts) {
-          fresh.push_back(row[ci].Get<T>());
-        }
-        auto col = Column::Make(ctype, std::move(fresh));
-        col->set_persistent(true);
-        col->ComputeSorted();
-        merged = std::move(col);
-      });
+      ColumnPtr merged = MergeColumn(t->defs_[ci].type, *old, deleted, kept,
+                                     delta.inserts, ci, nullptr);
       fresh_cols[tid][static_cast<int>(ci)] = merged;
       snap->cols_[{tname, cname}] = CatalogSnapshot::View{
           {tid, static_cast<int32_t>(ci)}, Bat::DenseHead(merged)};

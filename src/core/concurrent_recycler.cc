@@ -5,7 +5,6 @@
 #include <sstream>
 
 #include "util/str.h"
-#include "util/timer.h"
 
 namespace recycledb {
 
@@ -22,37 +21,17 @@ uint64_t TraceResultBytes(const std::vector<MalValue>& results) {
 
 }  // namespace
 
-ConcurrentRecycler::ConcurrentRecycler(RecyclerConfig cfg,
-                                       ResourceGovernor* governor)
-    : cfg_(cfg), shared_(cfg.admission, cfg.credits) {
+ConcurrentRecycler::ConcurrentRecycler(RecyclerConfig cfg)
+    : cfg_(cfg), shared_(cfg, std::max<size_t>(cfg.pool_stripes, 1)) {
+  // Each stripe charges its own max/N slot of the shared budget, so budgeted
+  // admission stays on the one stripe lock and borrows idle capacity
+  // through the atomic ledger.
   if (cfg_.pool_stripes < 1) cfg_.pool_stripes = 1;
   stripes_.reserve(cfg_.pool_stripes);
   for (size_t i = 0; i < cfg_.pool_stripes; ++i) {
     auto s = std::make_unique<Stripe>();
-    s->core = std::make_unique<Recycler>(cfg_, &shared_);
-    stripe_index_.emplace(s->core.get(), i);
+    s->core = std::make_unique<Recycler>(cfg_, &shared_, i);
     stripes_.push_back(std::move(s));
-  }
-  if (cfg_.max_entries != 0 || cfg_.max_bytes != 0) {
-    // The budget lives in a governor domain and each stripe leases its max/N
-    // fair share, so budgeted admission stays on the one stripe lock and
-    // borrows idle capacity through the atomic ledger.
-    if (governor == nullptr) {
-      owned_governor_ = std::make_unique<ResourceGovernor>();
-      governor = owned_governor_.get();
-    }
-    governor_ = governor;
-    pool_domain_ = governor_->AddDomain(
-        "recycle_pool", {cfg_.max_bytes, cfg_.max_entries});
-    const size_t n = stripes_.size();
-    for (size_t i = 0; i < n; ++i) {
-      stripes_[i]->lease = pool_domain_->CreateLease(
-          "stripe" + std::to_string(i), cfg_.max_bytes / n,
-          cfg_.max_entries / n);
-    }
-    shared_.ensure_capacity = [this](Recycler* stripe, size_t bytes_needed) {
-      return EnsureCapacityStriped(stripe_index_.at(stripe), bytes_needed);
-    };
   }
 }
 
@@ -145,7 +124,7 @@ bool ConcurrentRecycler::SessionOnEntry(const QueryCtx& ctx,
       d.saved_ms = fast_saved_ms;
       trace->AddDecision(d);
     }
-    // Fast paths still answer the governor: a stripe serving only hits (or
+    // Fast paths still answer the budget: a stripe serving only hits (or
     // misses that never admit) must not trap budget other stripes starve
     // for. No-op without a budget or pending signal.
     MaybeServicePressure(si);
@@ -155,7 +134,7 @@ bool ConcurrentRecycler::SessionOnEntry(const QueryCtx& ctx,
   // rewritten result, all within this stripe (the stripe key guarantees the
   // candidate set is local). It re-probes from scratch, so a racing
   // invalidation between the two lock scopes degrades to a miss. A budget
-  // charges this stripe's lease and stays local.
+  // charges this stripe's slot and stays local.
   std::unique_lock lock(s.mu);
   s.excl_acq.fetch_add(1, std::memory_order_relaxed);
   if (trace == nullptr) return s.core->OnEntryCtx(ctx, instr, results);
@@ -253,141 +232,14 @@ ConcurrentRecycler::LockAllExclusive() {
   return locks;
 }
 
-void ConcurrentRecycler::SyncLease(Stripe& s) {
-  if (s.lease == nullptr) return;
-  // Usage can only DROP concurrently (cross-stripe column releases under the
-  // shared bookkeeping mutex); admissions raising it need this stripe's
-  // exclusive lock, which the caller holds. A stale read is therefore
-  // conservative: we release no more than the true slack.
-  size_t use_bytes = s.core->pool().total_bytes();
-  size_t use_entries = s.core->pool().num_entries();
-  size_t held_bytes = s.lease->held_bytes();
-  size_t held_entries = s.lease->held_entries();
-  s.lease->Release(held_bytes > use_bytes ? held_bytes - use_bytes : 0,
-                   held_entries > use_entries ? held_entries - use_entries : 0);
-}
-
-void ConcurrentRecycler::ServicePressureLocked(size_t stripe_idx) {
-  Stripe& s = *stripes_[stripe_idx];
-  ResourceGovernor::Lease* lease = s.lease;
-  if (lease == nullptr) return;
-  // A slack request (any starved acquisition in the domain) asks only for
-  // held-above-usage capacity — returning it costs this stripe nothing.
-  if (lease->SeesSlackRequest()) {
-    size_t held_before = lease->held_bytes();
-    SyncLease(s);
-    if (events_ != nullptr && lease->held_bytes() < held_before)
-      events_->Record(obs::EventKind::kSlack,
-                      static_cast<uint32_t>(stripe_idx),
-                      held_before - lease->held_bytes());
-  }
-  // Pressure (an UNDER-share stripe starved) additionally makes an
-  // over-share stripe shed down to its base by stripe-local eviction, once
-  // per pressure epoch.
-  if (lease->SeesPressure()) {
-    RecyclePool& pool = s.core->pool();
-    const size_t bytes_before = pool.total_bytes();
-    const double now_ms = NowMillis();
-    const uint64_t protected_epoch = cfg_.protect_current_query
-                                         ? s.core->ProtectedEpoch()
-                                         : UINT64_MAX;
-    auto on_evict = [&s](const PoolEntry& e) { s.core->NoteEviction(e); };
-    if (cfg_.max_bytes != 0 && pool.total_bytes() > lease->base_bytes()) {
-      EvictForMemory(&pool, cfg_.eviction, lease->base_bytes(),
-                     /*bytes_needed=*/0, protected_epoch, now_ms, on_evict);
-    }
-    if (cfg_.max_entries != 0 &&
-        pool.num_entries() > lease->base_entries()) {
-      EvictForEntries(&pool, cfg_.eviction, lease->base_entries(),
-                      /*need=*/0, protected_epoch, now_ms, on_evict);
-    }
-    SyncLease(s);
-    lease->NoteRebalance();
-    if (events_ != nullptr)
-      events_->Record(obs::EventKind::kShed, static_cast<uint32_t>(stripe_idx),
-                      bytes_before - pool.total_bytes());
-  }
-}
-
 void ConcurrentRecycler::MaybeServicePressure(size_t stripe_idx) {
   Stripe& s = *stripes_[stripe_idx];
-  ResourceGovernor::Lease* lease = s.lease;
-  if (lease == nullptr) return;
   // Cheap relaxed peeks only; the epochs are consumed under the exclusive
-  // lock. The slack peek also requires visible byte slack so hit-heavy
-  // stripes with nothing to give never pay the lock upgrade.
-  bool want_slack = lease->PeekSlackRequest() &&
-                    lease->held_bytes() > s.core->pool().total_bytes();
-  if (!want_slack && !lease->PeekPressure()) return;
+  // lock.
+  if (!s.core->BudgetSignalPending()) return;
   std::unique_lock lock(s.mu);
   s.excl_acq.fetch_add(1, std::memory_order_relaxed);
-  ServicePressureLocked(stripe_idx);
-}
-
-bool ConcurrentRecycler::EnsureCapacityStriped(size_t stripe_idx,
-                                               size_t bytes_needed) {
-  Stripe& s = *stripes_[stripe_idx];
-  RecyclePool& pool = s.core->pool();
-  ResourceGovernor::Lease* lease = s.lease;
-  const uint64_t borrows_before =
-      events_ != nullptr ? lease->borrows() : 0;
-  const double now_ms = NowMillis();
-  const uint64_t protected_epoch = cfg_.protect_current_query
-                                       ? s.core->ProtectedEpoch()
-                                       : UINT64_MAX;
-  auto on_evict = [&s](const PoolEntry& e) { s.core->NoteEviction(e); };
-
-  // Held-above-usage slack (cross-stripe byte releases, admission
-  // over-estimates, earlier evictions) is deliberately RETAINED: it covers
-  // future admissions of this stripe without touching the domain ledger, so
-  // the steady admit/evict cycle performs no acquisitions at all (and the
-  // borrow counters only record actual growth beyond the fair share).
-  // Slack returns to the ledger when the governor signals that someone is
-  // starving — serviced here and on the probe path — or when an admission
-  // is declined.
-  ServicePressureLocked(stripe_idx);
-
-  // Entry budget: one slot. Acquire from the ledger; on a dry ledger evict
-  // one of our own entries — usage drops below held, so the slot is covered
-  // without a ledger round-trip.
-  if (cfg_.max_entries != 0 &&
-      pool.num_entries() + 1 > lease->held_entries()) {
-    if (!lease->TryAcquire(0, 1)) {
-      EvictForEntries(&pool, cfg_.eviction, pool.num_entries(), /*need=*/1,
-                      protected_epoch, now_ms, on_evict);
-      if (pool.num_entries() + 1 > lease->held_entries()) {
-        SyncLease(s);  // admission declined: keep nothing we don't use
-        return false;
-      }
-    }
-  }
-
-  // Byte budget: acquire the shortfall, then evict stripe-locally for
-  // whatever the ledger could not grant (freed usage stays covered by the
-  // held capacity, exactly like the entry slot above).
-  if (cfg_.max_bytes != 0) {
-    if (bytes_needed > cfg_.max_bytes) {
-      SyncLease(s);  // return the entry slot acquired above
-      return false;  // oversize result can never fit
-    }
-    size_t usage = pool.total_bytes();
-    size_t held = lease->held_bytes();
-    if (usage + bytes_needed > held) {
-      size_t granted = lease->AcquireBytesUpTo(usage + bytes_needed - held);
-      if (usage + bytes_needed > held + granted) {
-        EvictForMemory(&pool, cfg_.eviction, lease->held_bytes(), bytes_needed,
-                       protected_epoch, now_ms, on_evict);
-        if (pool.total_bytes() + bytes_needed > lease->held_bytes()) {
-          SyncLease(s);  // admission declined: keep nothing we don't use
-          return false;
-        }
-      }
-    }
-  }
-  if (events_ != nullptr && lease->borrows() > borrows_before)
-    events_->Record(obs::EventKind::kBorrow, static_cast<uint32_t>(stripe_idx),
-                    lease->held_bytes(), lease->base_bytes());
-  return true;
+  s.core->ServiceBudgetSignals();
 }
 
 void ConcurrentRecycler::OnCatalogUpdate(const std::vector<ColumnId>& cols,
@@ -398,7 +250,7 @@ void ConcurrentRecycler::OnCatalogUpdate(const std::vector<ColumnId>& cols,
   stripes_[0]->core->StampColumnEpochs(cols, epoch);
   for (auto& s : stripes_) {
     s->core->OnCatalogUpdate(cols);
-    SyncLease(*s);  // invalidated bytes go back to the free ledger now
+    s->core->ReturnBudgetSlack();  // invalidated bytes go back to the ledger
   }
 }
 
@@ -429,14 +281,14 @@ void ConcurrentRecycler::PropagateUpdate(Catalog* catalog,
     size_t si = StripeOf(r.op, r.args);
     stripes_[si]->core->AdmitRefresh(std::move(r));
   }
-  for (auto& s : stripes_) SyncLease(*s);
+  for (auto& s : stripes_) s->core->ReturnBudgetSlack();
 }
 
 void ConcurrentRecycler::Clear() {
   auto locks = LockAllExclusive();
   for (auto& s : stripes_) {
     s->core->Clear();
-    SyncLease(*s);
+    s->core->ReturnBudgetSlack();
   }
 }
 
@@ -451,7 +303,6 @@ void ConcurrentRecycler::ResetStats() {
     s->fast_saved_ns.store(0, std::memory_order_relaxed);
     s->excl_acq.store(0, std::memory_order_relaxed);
     s->shared_acq.store(0, std::memory_order_relaxed);
-    if (s->lease != nullptr) s->lease->ResetCounters();
   }
   all_stripe_ops_.store(0, std::memory_order_relaxed);
 }
@@ -489,12 +340,12 @@ std::vector<ConcurrentRecycler::StripeStats> ConcurrentRecycler::stripe_stats()
               s->fast_hits.load(std::memory_order_relaxed);
     st.admitted = s->core->stats().admitted;
     st.evicted = s->core->stats().evicted;
-    if (s->lease != nullptr) {
-      st.lease_base_bytes = s->lease->base_bytes();
-      st.lease_held_bytes = s->lease->held_bytes();
-      st.borrows = s->lease->borrows();
-      st.borrow_denied = s->lease->denied();
-      st.rebalances = s->lease->rebalances();
+    if (const PoolBudget::Slot* slot = s->core->budget_slot_) {
+      st.budget_base_bytes = slot->base_bytes();
+      st.budget_held_bytes = slot->held_bytes();
+      st.borrows = slot->borrows();
+      st.borrow_denied = slot->denied();
+      st.rebalances = slot->rebalances();
     }
     out.push_back(st);
   }

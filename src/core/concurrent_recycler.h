@@ -5,11 +5,9 @@
 #include <memory>
 #include <shared_mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "core/recycler.h"
-#include "core/resource_governor.h"
 #include "obs/event_ring.h"
 #include "obs/trace.h"
 
@@ -49,7 +47,7 @@ namespace recycledb {
 ///    (same key, same stripe).
 ///  - recycleExit / admission (exclusive lock on the target stripe). Under
 ///    a byte/entry budget this INCLUDES the budget enforcement: the stripe
-///    charges its governor lease (max/N fair share, borrowing idle capacity
+///    charges its budget slot (max/N fair share, borrowing idle capacity
 ///    through the atomic ledger) and evicts within itself only — budgeted
 ///    admission never leaves the stripe lock.
 ///  - Cross-stripe operations — Clear, ResetStats, catalog invalidation and
@@ -59,26 +57,24 @@ namespace recycledb {
 ///
 /// Victims are chosen stripe-locally, so a bounded pool with N > 1 stripes
 /// may evict differently from an unstriped one; with pool_stripes = 1 the
-/// lease covers the whole budget and decisions match the unstriped pool
-/// exactly.
+/// one budget slot covers the whole budget and decisions match the
+/// unstriped pool exactly.
 ///
-/// ## Budget governance
+/// ## Budget
 ///
-/// The byte/entry budget lives in a ResourceGovernor domain ("recycle_pool")
-/// — either a domain of the governor injected at construction (QueryService
-/// shares one governor between this pool and the plan cache) or of a
-/// privately owned one. Each stripe holds a Lease whose held capacity always
-/// covers the stripe's live bytes/entries; admission acquires the shortfall
-/// from the domain's free ledger first and falls back to stripe-local
-/// eviction (§4.3 policies over this stripe's leaves only). Held capacity
-/// freed by cross-stripe releases, over-estimation, or eviction is retained
-/// as slack that covers later admissions ledger-free (the steady
-/// admit/evict cycle performs no ledger traffic); it returns to the free
-/// ledger when an admission is declined or when the governor signals
-/// pressure (a starved under-share stripe), at which point a stripe holding
-/// beyond its fair share also sheds down to it by local eviction — the
-/// borrow/rebalance protocol that keeps Σ stripe bytes ≤ budget without
-/// any all-stripe lock.
+/// The byte/entry budget is a PoolBudget ledger (core/pool_budget.h) in the
+/// shared state, with one slot per stripe. A stripe's held capacity always
+/// covers its live bytes/entries; admission (Recycler::EnsureCapacity, the
+/// same code a standalone Recycler runs) acquires the shortfall from the
+/// free ledger first and falls back to stripe-local eviction (§4.3 policies
+/// over this stripe's leaves only). Held capacity freed by cross-stripe
+/// releases, over-estimation, or eviction is retained as slack that covers
+/// later admissions ledger-free (the steady admit/evict cycle performs no
+/// ledger traffic); it returns to the free ledger when an admission is
+/// declined or when the budget signals pressure (a starved under-share
+/// stripe), at which point a stripe holding beyond its fair share also
+/// sheds down to it by local eviction — the borrow/rebalance protocol that
+/// keeps Σ stripe bytes ≤ budget without any all-stripe lock.
 ///
 /// Shared across stripes (RecyclerSharedState): the logical use clock, the
 /// invocation registry (so eviction protection reads one global epoch —
@@ -92,12 +88,7 @@ namespace recycledb {
 /// reuse-quality policy, not a memory-safety requirement.
 class ConcurrentRecycler {
  public:
-  /// `governor`, when given, hosts the pool's budget domain (so one
-  /// process-wide governor can account the recycle pool and the plan cache
-  /// together — QueryService does this); it must outlive the recycler. When
-  /// null and a budget is configured, the recycler owns a private governor.
-  explicit ConcurrentRecycler(RecyclerConfig cfg = {},
-                              ResourceGovernor* governor = nullptr);
+  explicit ConcurrentRecycler(RecyclerConfig cfg = {});
 
   /// Per-worker RecyclerHook facade: holds the worker's current QueryCtx and
   /// forwards to the shared striped pool under the locking protocol above.
@@ -185,11 +176,11 @@ class ConcurrentRecycler {
     uint64_t hits = 0;      ///< exact + subsumed hits resolved in this stripe
     uint64_t admitted = 0;
     uint64_t evicted = 0;
-    // Budget-lease state (zero without a budget): the stripe's fair share,
-    // what it currently holds from the governor, and how often it borrowed
+    // Budget-slot state (zero without a budget): the stripe's fair share,
+    // what it currently holds from the ledger, and how often it borrowed
     // beyond the share / shed back down.
-    size_t lease_base_bytes = 0;
-    size_t lease_held_bytes = 0;
+    size_t budget_base_bytes = 0;
+    size_t budget_held_bytes = 0;
     uint64_t borrows = 0;
     uint64_t borrow_denied = 0;
     uint64_t rebalances = 0;
@@ -204,14 +195,20 @@ class ConcurrentRecycler {
     return all_stripe_ops_.load(std::memory_order_relaxed);
   }
 
-  /// The governor hosting this pool's budget domain: the injected one, the
-  /// privately owned one, or null when no budget is configured.
-  const ResourceGovernor* governor() const { return governor_; }
+  /// The pool's budget ledger, or null when no budget is configured.
+  const PoolBudget* budget() const { return shared_.budget.get(); }
 
-  /// Attaches a sink for governance events (borrows, pressure sheds, slack
+  /// Advances whenever a stripe under its base share was starved of budget
+  /// (always 0 without a budget). The network server's admission control
+  /// watches it.
+  uint64_t pressure_epoch() const {
+    return shared_.budget != nullptr ? shared_.budget->pressure_epoch() : 0;
+  }
+
+  /// Attaches a sink for budget events (borrows, pressure sheds, slack
   /// returns). Call before concurrent traffic; the ring must outlive the
   /// recycler. Null (the default) records nothing.
-  void set_event_ring(obs::EventRing* events) { events_ = events; }
+  void set_event_ring(obs::EventRing* events) { shared_.events = events; }
 
   /// The stripe an instruction with this identity belongs to (exposed for
   /// tests that pin fingerprints to stripes).
@@ -227,10 +224,6 @@ class ConcurrentRecycler {
   struct Stripe {
     mutable std::shared_mutex mu;
     std::unique_ptr<Recycler> core;
-    /// This stripe's slice of the pool budget (null without a budget). Held
-    /// capacity always covers the stripe's live bytes/entries; mutated only
-    /// under this stripe's exclusive lock.
-    ResourceGovernor::Lease* lease = nullptr;
     // Contention counters.
     std::atomic<uint64_t> excl_acq{0};
     std::atomic<uint64_t> shared_acq{0};
@@ -270,42 +263,19 @@ class ConcurrentRecycler {
   /// nothing). Counts one exclusive acquisition per stripe.
   std::vector<std::unique_lock<std::shared_mutex>> LockAllExclusive();
 
-  /// The capacity delegate installed into the shared state when
-  /// max_entries/max_bytes are configured: charges the stripe's lease, evicts
-  /// stripe-locally on shortfall, honours governor pressure. Requires only
-  /// THIS stripe's exclusive lock.
-  bool EnsureCapacityStriped(size_t stripe_idx, size_t bytes_needed);
-
-  /// Returns held-above-usage lease capacity (left by cross-stripe byte
-  /// releases, admission over-estimates, or failed admissions) to the
-  /// domain's free ledger. Requires the stripe's exclusive lock.
-  void SyncLease(Stripe& s);
-
-  /// Consumes the governor's signals for this stripe: a slack request
-  /// returns held-above-usage capacity (no eviction); pressure additionally
-  /// sheds an over-share stripe down to its base by stripe-local eviction.
-  /// Requires the stripe's exclusive lock.
-  void ServicePressureLocked(size_t stripe_idx);
-
-  /// Probe-path service point: if the governor signalled since this
-  /// stripe's last look AND the stripe has something to give, upgrade to
-  /// the stripe's exclusive lock and respond. This is what lets hit-heavy
-  /// or admission-idle stripes release trapped capacity; a stripe that is
-  /// never probed at all only returns capacity at the next cross-stripe
-  /// maintenance op (commit invalidation/propagation, Clear).
+  /// Probe-path service point: if the budget signalled since this stripe's
+  /// last look AND the stripe has something to give, upgrade to the
+  /// stripe's exclusive lock and respond (Recycler::ServiceBudgetSignals).
+  /// This is what lets hit-heavy or admission-idle stripes release trapped
+  /// capacity; a stripe that is never probed at all only returns capacity
+  /// at the next cross-stripe maintenance op (commit invalidation or
+  /// propagation, Clear).
   void MaybeServicePressure(size_t stripe_idx);
 
   RecyclerConfig cfg_;
   RecyclerSharedState shared_;
-  std::unique_ptr<ResourceGovernor> owned_governor_;  ///< null when injected
-  ResourceGovernor* governor_ = nullptr;  ///< null without a budget
-  ResourceGovernor::Domain* pool_domain_ = nullptr;
   std::vector<std::unique_ptr<Stripe>> stripes_;
-  /// Stripe index by core pointer: resolves the shared capacity delegate's
-  /// `Recycler*` back to its stripe. Immutable after construction.
-  std::unordered_map<const Recycler*, size_t> stripe_index_;
   std::atomic<uint64_t> all_stripe_ops_{0};
-  obs::EventRing* events_ = nullptr;  ///< optional governance-event sink
 };
 
 }  // namespace recycledb

@@ -268,24 +268,4 @@ size_t EvictForMemory(RecyclePool* pool, EvictionKind kind, size_t max_bytes,
   return evicted;
 }
 
-bool EnsureCapacityForPool(
-    RecyclePool* pool, EvictionKind kind, size_t max_entries,
-    size_t max_bytes, size_t bytes_needed, uint64_t protected_epoch,
-    double now_ms, const std::function<void(const PoolEntry&)>& on_evict) {
-  if (max_entries != 0) {
-    EvictForEntries(pool, kind, max_entries, 1, protected_epoch, now_ms,
-                    on_evict);
-    if (pool->num_entries() + 1 > max_entries) return false;
-  }
-  if (max_bytes != 0) {
-    if (bytes_needed > max_bytes) return false;
-    if (pool->total_bytes() + bytes_needed > max_bytes) {
-      EvictForMemory(pool, kind, max_bytes, bytes_needed, protected_epoch,
-                     now_ms, on_evict);
-    }
-    if (pool->total_bytes() + bytes_needed > max_bytes) return false;
-  }
-  return true;
-}
-
 }  // namespace recycledb

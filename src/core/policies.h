@@ -95,17 +95,6 @@ size_t EvictForMemory(RecyclePool* pool, EvictionKind kind, size_t max_bytes,
                       double now_ms,
                       const std::function<void(const PoolEntry&)>& on_evict);
 
-/// The full budget-enforcement decision for one admission into an unstriped
-/// pool: evict under the entry budget, reject oversize results, evict under
-/// the byte budget, and re-check; returns false when the admission must be
-/// declined. A zero limit means unlimited. (A striped pool charges each
-/// stripe's governor lease instead and calls the two eviction procedures
-/// above on the stripe's own pool.)
-bool EnsureCapacityForPool(
-    RecyclePool* pool, EvictionKind kind, size_t max_entries,
-    size_t max_bytes, size_t bytes_needed, uint64_t protected_epoch,
-    double now_ms, const std::function<void(const PoolEntry&)>& on_evict);
-
 /// B(I) under the given policy (Eqs. 1-3). Exposed for tests and benches.
 double EntryBenefit(const PoolEntry& e, EvictionKind kind, double now_ms);
 

@@ -3,19 +3,23 @@
 #include <algorithm>
 
 #include "engine/operators.h"
+#include "obs/event_ring.h"
 #include "util/timer.h"
 
 namespace recycledb {
 
-Recycler::Recycler(RecyclerConfig cfg) : Recycler(cfg, nullptr) {}
+Recycler::Recycler(RecyclerConfig cfg) : Recycler(cfg, nullptr, 0) {}
 
-Recycler::Recycler(RecyclerConfig cfg, RecyclerSharedState* shared)
+Recycler::Recycler(RecyclerConfig cfg, RecyclerSharedState* shared,
+                   size_t stripe)
     : cfg_(cfg),
       owned_shared_(shared == nullptr
-                        ? std::make_unique<RecyclerSharedState>(cfg.admission,
-                                                                cfg.credits)
+                        ? std::make_unique<RecyclerSharedState>(cfg, 1)
                         : nullptr),
       shared_(shared == nullptr ? owned_shared_.get() : shared),
+      stripe_(stripe),
+      budget_slot_(shared_->budget != nullptr ? &shared_->budget->slot(stripe)
+                                              : nullptr),
       pool_(&shared_->pool_shared),
       subsume_(&pool_, SubsumptionEngine::Options{
                            cfg.enable_combined_subsumption}) {}
@@ -310,16 +314,130 @@ void Recycler::NoteEviction(const PoolEntry& e) {
 }
 
 bool Recycler::EnsureCapacity(size_t bytes_needed) {
-  // Striped mode with a budget: the owner enforces the limit against this
-  // stripe's governor lease (only this stripe's lock held).
-  if (shared_->ensure_capacity) return shared_->ensure_capacity(this, bytes_needed);
-
-  uint64_t protected_epoch =
+  PoolBudget::Slot* slot = budget_slot_;
+  if (slot == nullptr) return true;  // no budget configured
+  const uint64_t borrows_before =
+      shared_->events != nullptr ? slot->borrows() : 0;
+  const double now_ms = NowMillis();
+  const uint64_t protected_epoch =
       cfg_.protect_current_query ? ProtectedEpoch() : UINT64_MAX;
-  return EnsureCapacityForPool(
-      &pool_, cfg_.eviction, cfg_.max_entries, cfg_.max_bytes, bytes_needed,
-      protected_epoch, NowMillis(),
-      [this](const PoolEntry& e) { NoteEviction(e); });
+  auto on_evict = [this](const PoolEntry& e) { NoteEviction(e); };
+
+  // Held-above-usage slack (cross-stripe byte releases, admission
+  // over-estimates, earlier evictions) is deliberately RETAINED: it covers
+  // future admissions of this stripe without touching the free ledger, so
+  // the steady admit/evict cycle performs no acquisitions at all (and the
+  // borrow counters only record actual growth beyond the base share).
+  // Slack returns to the ledger when the budget signals that a stripe is
+  // starving — serviced here and on the probe path — or when an admission
+  // is declined.
+  ServiceBudgetSignals();
+
+  // Entry budget: one entry. Acquire it from the ledger; on a dry ledger
+  // evict one of our own entries — usage drops below held, so the entry is
+  // covered without a ledger round-trip.
+  if (cfg_.max_entries != 0 &&
+      pool_.num_entries() + 1 > slot->held_entries()) {
+    if (!slot->TryAcquireEntry()) {
+      EvictForEntries(&pool_, cfg_.eviction, pool_.num_entries(), /*need=*/1,
+                      protected_epoch, now_ms, on_evict);
+      if (pool_.num_entries() + 1 > slot->held_entries()) {
+        ReturnBudgetSlack();  // admission declined: keep nothing unused
+        return false;
+      }
+    }
+  }
+
+  // Byte budget: acquire the shortfall, then evict locally for whatever the
+  // ledger could not grant (freed usage stays covered by the held capacity,
+  // exactly like the entry above).
+  if (cfg_.max_bytes != 0) {
+    if (bytes_needed > cfg_.max_bytes) {
+      ReturnBudgetSlack();  // return the entry acquired above
+      return false;         // oversize result can never fit
+    }
+    size_t usage = pool_.total_bytes();
+    size_t held = slot->held_bytes();
+    if (usage + bytes_needed > held) {
+      size_t granted = slot->AcquireBytesUpTo(usage + bytes_needed - held);
+      if (usage + bytes_needed > held + granted) {
+        EvictForMemory(&pool_, cfg_.eviction, slot->held_bytes(),
+                       bytes_needed, protected_epoch, now_ms, on_evict);
+        if (pool_.total_bytes() + bytes_needed > slot->held_bytes()) {
+          ReturnBudgetSlack();  // admission declined: keep nothing unused
+          return false;
+        }
+      }
+    }
+  }
+  if (shared_->events != nullptr && slot->borrows() > borrows_before)
+    shared_->events->Record(obs::EventKind::kBorrow,
+                            static_cast<uint32_t>(stripe_),
+                            slot->held_bytes(), slot->base_bytes());
+  return true;
+}
+
+void Recycler::ReturnBudgetSlack() {
+  PoolBudget::Slot* slot = budget_slot_;
+  if (slot == nullptr) return;
+  // Usage can only DROP concurrently (cross-stripe column releases under the
+  // shared bookkeeping mutex); admissions raising it need this stripe's
+  // exclusive lock, which the caller holds. A stale read is therefore
+  // conservative: we release no more than the true slack.
+  size_t use_bytes = pool_.total_bytes();
+  size_t use_entries = pool_.num_entries();
+  size_t held_bytes = slot->held_bytes();
+  size_t held_entries = slot->held_entries();
+  slot->Release(held_bytes > use_bytes ? held_bytes - use_bytes : 0,
+                held_entries > use_entries ? held_entries - use_entries : 0);
+}
+
+void Recycler::ServiceBudgetSignals() {
+  PoolBudget::Slot* slot = budget_slot_;
+  if (slot == nullptr) return;
+  obs::EventRing* events = shared_->events;
+  // A slack request (any starved acquisition) asks only for held-above-usage
+  // capacity — returning it costs this stripe nothing.
+  if (slot->SeesSlackRequest()) {
+    size_t held_before = slot->held_bytes();
+    ReturnBudgetSlack();
+    if (events != nullptr && slot->held_bytes() < held_before)
+      events->Record(obs::EventKind::kSlack, static_cast<uint32_t>(stripe_),
+                     held_before - slot->held_bytes());
+  }
+  // Pressure (an UNDER-share stripe starved) additionally makes an
+  // over-share stripe shed down to its base by local eviction, once per
+  // pressure epoch.
+  if (slot->SeesPressure()) {
+    const size_t bytes_before = pool_.total_bytes();
+    const double now_ms = NowMillis();
+    const uint64_t protected_epoch =
+        cfg_.protect_current_query ? ProtectedEpoch() : UINT64_MAX;
+    auto on_evict = [this](const PoolEntry& e) { NoteEviction(e); };
+    if (cfg_.max_bytes != 0 && pool_.total_bytes() > slot->base_bytes()) {
+      EvictForMemory(&pool_, cfg_.eviction, slot->base_bytes(),
+                     /*bytes_needed=*/0, protected_epoch, now_ms, on_evict);
+    }
+    if (cfg_.max_entries != 0 && pool_.num_entries() > slot->base_entries()) {
+      EvictForEntries(&pool_, cfg_.eviction, slot->base_entries(),
+                      /*need=*/0, protected_epoch, now_ms, on_evict);
+    }
+    ReturnBudgetSlack();
+    slot->NoteRebalance();
+    if (events != nullptr)
+      events->Record(obs::EventKind::kShed, static_cast<uint32_t>(stripe_),
+                     bytes_before - pool_.total_bytes());
+  }
+}
+
+bool Recycler::BudgetSignalPending() const {
+  const PoolBudget::Slot* slot = budget_slot_;
+  if (slot == nullptr) return false;
+  // The slack peek also requires visible byte slack, so hit-heavy stripes
+  // with nothing to give never pay a lock upgrade.
+  return (slot->PeekSlackRequest() &&
+          slot->held_bytes() > pool_.total_bytes()) ||
+         slot->PeekPressure();
 }
 
 uint64_t Recycler::ValidFromFor(const std::vector<ColumnId>& deps) const {

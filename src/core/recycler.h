@@ -11,13 +11,16 @@
 #include <vector>
 
 #include "core/policies.h"
+#include "core/pool_budget.h"
 #include "core/recycle_pool.h"
 #include "core/subsumption.h"
 #include "interp/recycler_hook.h"
 
 namespace recycledb {
 
-class Recycler;
+namespace obs {
+class EventRing;
+}  // namespace obs
 
 /// Knobs of the recycler architecture (paper §3-§6). Defaults correspond to
 /// the paper's baseline micro-benchmark setting: KEEPALL admission, no
@@ -27,12 +30,13 @@ struct RecyclerConfig {
   int credits = 5;  ///< initial credits for CREDIT / ADAPT
 
   EvictionKind eviction = EvictionKind::kLru;
-  /// Recycle-pool entry and memory limits; 0 = unlimited. A STRIPED pool
-  /// leases each stripe max/N through the resource governor and admits with
-  /// stripe-local eviction — no all-stripe lock on the admission path, with
-  /// borrow/rebalance through the governor's atomic ledger when one stripe
-  /// runs hot. With pool_stripes = 1 its decisions match a standalone
-  /// Recycler's (tests/striped_recycler_test.cc).
+  /// Recycle-pool entry and memory limits; 0 = unlimited. The budget is a
+  /// PoolBudget ledger with one slot per stripe (a standalone Recycler has
+  /// one slot holding the whole budget). A STRIPED pool gives each stripe a
+  /// max/N share and admits with stripe-local eviction — no all-stripe lock
+  /// on the admission path, with borrow/rebalance through the atomic ledger
+  /// when one stripe runs hot. With pool_stripes = 1 its decisions match a
+  /// standalone Recycler's (tests/striped_recycler_test.cc).
   size_t max_entries = 0;
   size_t max_bytes = 0;
 
@@ -117,8 +121,8 @@ struct QueryCtx {
 /// State shared by every stripe of a striped recycler group (see
 /// ConcurrentRecycler): the logical use clock, the invocation counter and
 /// active-query registry (eviction-protection epochs), the credit ledger,
-/// and the subset lattice. A standalone Recycler owns a private instance,
-/// so its semantics are unchanged.
+/// the subset lattice and the pool budget. A standalone Recycler owns a
+/// private instance with a one-slot budget.
 ///
 /// Every member is individually thread-safe: the clocks are atomics, the
 /// registry has a leaf mutex, and CreditLedger / SubsetLattice lock
@@ -126,8 +130,15 @@ struct QueryCtx {
 /// cross-stripe LRU ordering and local/global reuse classification
 /// identical to the unstriped pool.
 struct RecyclerSharedState {
-  RecyclerSharedState(AdmissionKind kind, int credits)
-      : ledger(kind, credits) {}
+  /// `budget_slots` is the number of stripes sharing the budget; no budget
+  /// is built when the config sets neither limit.
+  RecyclerSharedState(const RecyclerConfig& cfg, size_t budget_slots)
+      : ledger(cfg.admission, cfg.credits),
+        budget(cfg.max_bytes != 0 || cfg.max_entries != 0
+                   ? std::make_unique<PoolBudget>(cfg.max_bytes,
+                                                  cfg.max_entries,
+                                                  budget_slots)
+                   : nullptr) {}
 
   std::atomic<uint64_t> clock{0};  ///< logical use clock (LRU ordering)
   /// Invocation counter (local/global classification, protection epoch).
@@ -147,11 +158,11 @@ struct RecyclerSharedState {
   mutable std::mutex epoch_mu;
   std::map<ColumnId, uint64_t> col_epochs;
 
-  /// Capacity delegate. When set (striped mode with a byte/entry budget),
-  /// admissions call this instead of the private-pool EnsureCapacity: it
-  /// charges the admitting stripe's governor lease and evicts within that
-  /// stripe, whose exclusive lock is the only one held.
-  std::function<bool(Recycler* stripe, size_t bytes_needed)> ensure_capacity;
+  /// The byte/entry budget, one slot per stripe; null without a budget.
+  std::unique_ptr<PoolBudget> budget;
+  /// Optional sink for budget events (borrow, shed, slack), recorded with
+  /// the stripe index as actor. Set before concurrent traffic.
+  obs::EventRing* events = nullptr;
 };
 
 /// The recycler run-time support (paper §3.3, Algorithm 1): implements the
@@ -178,10 +189,11 @@ class Recycler : public RecyclerHook {
  public:
   explicit Recycler(RecyclerConfig cfg = {});
 
-  /// Striped-mode constructor: the instance becomes one stripe of a group
-  /// sharing `shared` (clock, query registry, ledger, lattice, capacity
-  /// delegate), which must outlive it. Used by ConcurrentRecycler.
-  Recycler(RecyclerConfig cfg, RecyclerSharedState* shared);
+  /// Striped-mode constructor: the instance becomes stripe `stripe` of a
+  /// group sharing `shared` (clock, query registry, ledger, lattice, budget),
+  /// which must outlive it; it charges budget slot `stripe`. Used by
+  /// ConcurrentRecycler.
+  Recycler(RecyclerConfig cfg, RecyclerSharedState* shared, size_t stripe);
 
   // --- RecyclerHook (Algorithm 1, single-session convenience) ---------------
   // These forward to the multi-session API below using an instance-held
@@ -265,9 +277,13 @@ class Recycler : public RecyclerHook {
   RecyclePool& pool() { return pool_; }
   const RecyclePool& pool() const { return pool_; }
   const RecyclerStats& stats() const { return stats_; }
-  /// Zeroes the aggregate counters; pool contents and per-entry reuse
+  /// Zeroes the aggregate counters and the budget slot's borrow/denied/
+  /// rebalance counters; pool contents, held budget and per-entry reuse
   /// statistics are untouched. Same synchronisation rules as Clear().
-  void ResetStats() { stats_ = RecyclerStats(); }
+  void ResetStats() {
+    stats_ = RecyclerStats();
+    if (budget_slot_ != nullptr) budget_slot_->ResetCounters();
+  }
   const RecyclerConfig& config() const { return cfg_; }
 
   /// Oldest active query id, or UINT64_MAX when no query is running (then
@@ -314,9 +330,22 @@ class Recycler : public RecyclerHook {
                    const std::vector<MalValue>& results, double cost_ms,
                    const std::vector<ColumnId>& deps,
                    const std::vector<PoolEntry*>& extra_sources);
-  /// Frees capacity for `bytes_needed`; returns false if impossible.
-  /// Delegates to the shared capacity hook in striped mode.
+  /// Frees capacity for `bytes_needed` under the budget; returns false if
+  /// the admission must be declined. Charges this stripe's budget slot and
+  /// evicts only from this pool, so a stripe needs only its own lock. With
+  /// one slot (standalone) the ledger never short-changes a slot below the
+  /// whole budget, and this is the plain §4.3 entry-then-bytes eviction.
   bool EnsureCapacity(size_t bytes_needed);
+  /// Returns held-above-usage budget capacity (left by cross-stripe byte
+  /// releases, admission over-estimates, or evictions) to the free ledger.
+  void ReturnBudgetSlack();
+  /// Answers the budget's signals for this stripe: a slack request returns
+  /// held-above-usage capacity (no eviction); pressure additionally sheds a
+  /// stripe holding beyond its base share down to it by local eviction.
+  void ServiceBudgetSignals();
+  /// True when ServiceBudgetSignals has something to do (relaxed peeks; no
+  /// epoch is consumed).
+  bool BudgetSignalPending() const;
   /// The validity floor of an entry with dependency set `deps`: the newest
   /// col_epochs stamp over any dep (0 when none was ever touched). NOT the
   /// current epoch — an entry over untouched tables stays reusable by
@@ -333,6 +362,10 @@ class Recycler : public RecyclerHook {
   RecyclerConfig cfg_;
   std::unique_ptr<RecyclerSharedState> owned_shared_;  ///< null as a stripe
   RecyclerSharedState* shared_;
+  /// Index in the striped group (0 standalone): the budget slot this
+  /// instance charges and the actor of its budget events.
+  size_t stripe_;
+  PoolBudget::Slot* budget_slot_;  ///< null without a budget
   RecyclePool pool_;
   SubsumptionEngine subsume_;
   RecyclerStats stats_;

@@ -116,7 +116,7 @@ Status RecycleServer::Start() {
 
   last_pressure_epoch_ = cfg_.pressure_epoch_fn
                              ? cfg_.pressure_epoch_fn()
-                             : svc_->governor().TotalPressureEpoch();
+                             : svc_->recycler().pressure_epoch();
   pressure_until_ms_ = 0;
 
   running_.store(true, std::memory_order_release);
@@ -172,7 +172,7 @@ void RecycleServer::PostCompletion(uint64_t conn_id, uint64_t rid,
 bool RecycleServer::PressureActive() {
   const uint64_t epoch = cfg_.pressure_epoch_fn
                              ? cfg_.pressure_epoch_fn()
-                             : svc_->governor().TotalPressureEpoch();
+                             : svc_->recycler().pressure_epoch();
   const double now = NowMillis();
   if (epoch != last_pressure_epoch_) {
     last_pressure_epoch_ = epoch;
@@ -514,7 +514,7 @@ void RecycleServer::HandleRequest(Conn* conn, uint64_t rid, bool is_dml,
   } else if (conn->pending.size() < EffectivePendingCap()) {
     conn->pending.push_back(std::move(req));
   } else {
-    // Bounded queues + BUSY is the backpressure contract: under governor
+    // Bounded queues + BUSY is the backpressure contract: under budget
     // pressure (or a flooding client) the server sheds load promptly
     // instead of queueing without bound.
     c_busy_->Add(1);

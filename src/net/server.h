@@ -30,14 +30,17 @@ struct NetConfig {
   /// Requests parked per connection beyond the window before BUSY.
   uint32_t max_pending_per_conn = 32;
   size_t max_frame_bytes = kDefaultMaxFrameBytes;
-  /// Admission control under governor pressure: while any budget domain's
-  /// pressure epoch advanced within the last `pressure_window_ms`, the
-  /// submit window shrinks to `pressure_inflight` and pending parking is
-  /// disabled — overload turns into prompt BUSY responses instead of a
-  /// growing queue.
+  /// Admission control under pool budget pressure: while the recycle
+  /// pool's pressure epoch (ConcurrentRecycler::pressure_epoch, raised when
+  /// a stripe under its base share is starved of budget) advanced within
+  /// the last `pressure_window_ms`, the submit window shrinks to
+  /// `pressure_inflight` and pending parking is disabled — overload turns
+  /// into prompt BUSY responses instead of a growing queue. A bounded pool
+  /// that is full and evicting raises the epoch about once per query, so
+  /// the window then stays at `pressure_inflight` nearly all the time.
   uint32_t pressure_inflight = 1;
   double pressure_window_ms = 250;
-  /// Test seam: overrides the governor pressure-epoch source.
+  /// Test seam: overrides the pool pressure-epoch source.
   std::function<uint64_t()> pressure_epoch_fn;
 };
 
@@ -170,7 +173,7 @@ class RecycleServer {
   void PostCompletion(uint64_t conn_id, uint64_t rid, Result<QueryResult> r);
   void WakeLocked();
 
-  /// True while the governor reported pressure within the last
+  /// True while the pool reported budget pressure within the last
   /// pressure_window_ms (see NetConfig). I/O-thread only.
   bool PressureActive();
   uint32_t EffectiveWindow();

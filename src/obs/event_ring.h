@@ -10,7 +10,7 @@
 namespace recycledb::obs {
 
 /// Governance/maintenance events worth keeping a short history of. These
-/// are RARE relative to query traffic (lease borrows, pressure sheds, plan
+/// are RARE relative to query traffic (budget borrows, pressure sheds, plan
 /// evictions, commit-driven pool maintenance), which is why a mutex-guarded
 /// ring is cheap enough — the query hot paths never record events.
 enum class EventKind : uint8_t {

@@ -27,17 +27,6 @@ size_t PlanCache::EstimateEntryBytes(const Entry& e) {
   return n;
 }
 
-void PlanCache::EnableCapacity(ResourceGovernor* governor, size_t max_plans,
-                               size_t max_bytes) {
-  if (governor == nullptr || (max_plans == 0 && max_bytes == 0)) return;
-  ResourceGovernor::Domain* domain =
-      governor->AddDomain("plan_cache", {max_bytes, max_plans});
-  // One consumer: the lease's base IS the whole domain budget, so borrow
-  // semantics never trigger — the governor's value here is the unified
-  // ledger/stats surface, not arbitration.
-  lease_ = domain->CreateLease("plans", max_bytes, max_plans);
-}
-
 PlanCache::EntryPtr PlanCache::Lookup(const std::string& fingerprint) {
   lookups_.fetch_add(1, std::memory_order_relaxed);
   std::shared_lock<std::shared_mutex> lock(mu_);
@@ -52,7 +41,7 @@ PlanCache::EntryPtr PlanCache::Lookup(const std::string& fingerprint) {
   return it->second.entry;
 }
 
-bool PlanCache::EvictLruLocked() {
+void PlanCache::EvictLruLocked() {
   auto victim = plans_.end();
   uint64_t oldest = std::numeric_limits<uint64_t>::max();
   for (auto it = plans_.begin(); it != plans_.end(); ++it) {
@@ -62,14 +51,11 @@ bool PlanCache::EvictLruLocked() {
       victim = it;
     }
   }
-  if (victim == plans_.end()) return false;
-  if (lease_ != nullptr) lease_->Release(victim->second.est_bytes, 1);
   bytes_ -= victim->second.est_bytes;
   if (events_ != nullptr)
     events_->Record(obs::EventKind::kPlanEvict, 0, victim->second.est_bytes);
   plans_.erase(victim);
   evictions_.fetch_add(1, std::memory_order_relaxed);
-  return true;
 }
 
 PlanCache::EntryPtr PlanCache::Insert(const std::string& fingerprint,
@@ -87,24 +73,7 @@ PlanCache::EntryPtr PlanCache::Insert(const std::string& fingerprint,
         std::memory_order_relaxed);
     return it->second.entry;
   }
-  if (lease_ != nullptr) {
-    // A plan that alone exceeds the whole byte budget can never be cached:
-    // bail before the eviction loop (which would otherwise wipe every
-    // cached plan and still fail). The caller's shared_ptr keeps the
-    // returned plan runnable, it just isn't shared.
-    const size_t max_bytes = lease_->base_bytes();      // 0 = unlimited
-    const size_t max_plans = lease_->base_entries();    // 0 = unlimited
-    if (max_bytes != 0 && est > max_bytes) return sp;
-    // Make room with local capacity math FIRST, then charge the lease once
-    // — probing TryAcquire per eviction round would count one insert as N
-    // denials in the governance stats. (Single consumer: held mirrors
-    // bytes_/size(), so the local math is exact.)
-    while ((max_plans != 0 && plans_.size() + 1 > max_plans) ||
-           (max_bytes != 0 && bytes_ + est > max_bytes)) {
-      if (!EvictLruLocked()) return sp;
-    }
-    if (!lease_->TryAcquire(est, 1)) return sp;
-  }
+  if (max_plans_ != 0 && plans_.size() >= max_plans_) EvictLruLocked();
   Slot slot;
   slot.entry = sp;
   slot.est_bytes = est;
@@ -131,7 +100,6 @@ void PlanCache::Invalidate(const std::vector<ColumnId>& cols) {
       return std::binary_search(tables.begin(), tables.end(), t);
     });
     if (affected) {
-      if (lease_ != nullptr) lease_->Release(it->second.est_bytes, 1);
       bytes_ -= it->second.est_bytes;
       it = plans_.erase(it);
       ++dropped;
@@ -144,7 +112,6 @@ void PlanCache::Invalidate(const std::vector<ColumnId>& cols) {
 
 void PlanCache::Clear() {
   std::unique_lock<std::shared_mutex> lock(mu_);
-  if (lease_ != nullptr) lease_->Release(bytes_, plans_.size());
   bytes_ = 0;
   plans_.clear();
 }

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "catalog/catalog.h"
-#include "core/resource_governor.h"
 #include "mal/program.h"
 #include "obs/event_ring.h"
 
@@ -40,15 +39,11 @@ struct PlanCacheStats {
 ///
 /// ## Capacity (LRU)
 ///
-/// EnableCapacity bounds the cache by fingerprint count and estimated
-/// Program bytes, leased from a ResourceGovernor domain so the plan cache
-/// participates in the same process-wide memory governance as the recycle
-/// pool. Inserting past capacity evicts least-recently-used entries
-/// (recency is touched by Lookup under the shared lock via per-entry atomic
-/// ticks); a plan too large for the whole budget is returned to the caller
-/// uncached — it still executes, it just isn't shared. Ad-hoc workloads
-/// with unbounded distinct patterns therefore cannot grow the map without
-/// bound any more.
+/// The constructor bounds the cache by fingerprint count. Inserting past
+/// capacity evicts least-recently-used entries (recency is touched by
+/// Lookup under the shared lock via per-entry atomic ticks), so ad-hoc
+/// workloads with unbounded distinct patterns cannot grow the map without
+/// bound.
 class PlanCache {
  public:
   struct Entry {
@@ -61,13 +56,8 @@ class PlanCache {
   };
   using EntryPtr = std::shared_ptr<const Entry>;
 
-  /// Bounds the cache at `max_plans` fingerprints / `max_bytes` estimated
-  /// bytes (0 = unlimited on that axis), leasing the capacity from a
-  /// "plan_cache" domain added to `governor`. Call once, before the cache
-  /// serves concurrent traffic; with both limits zero the cache stays
-  /// unbounded and no domain is registered.
-  void EnableCapacity(ResourceGovernor* governor, size_t max_plans,
-                      size_t max_bytes);
+  /// Bounds the cache at `max_plans` fingerprints (0 = unlimited).
+  explicit PlanCache(size_t max_plans = 0) : max_plans_(max_plans) {}
 
   /// Attaches a sink for LRU-eviction events (kind kPlanEvict, `a` = the
   /// evicted plan's estimated bytes). Call before concurrent traffic; the
@@ -78,11 +68,10 @@ class PlanCache {
   /// touches the entry's LRU recency.
   EntryPtr Lookup(const std::string& fingerprint);
 
-  /// Inserts a freshly compiled plan and counts a compile, evicting LRU
-  /// entries if capacity demands. Under a racing double-compile the first
+  /// Inserts a freshly compiled plan and counts a compile, evicting the LRU
+  /// entry if capacity demands. Under a racing double-compile the first
   /// insert wins and the loser's entry is discarded, so every submitter
-  /// shares one Program; the returned entry is always the winner. A plan
-  /// exceeding the whole budget is returned uncached (still runnable).
+  /// shares one Program; the returned entry is always the winner.
   EntryPtr Insert(const std::string& fingerprint, Entry entry);
 
   /// Drops every plan reading a table named in `cols` (ColumnId::table; join
@@ -94,14 +83,13 @@ class PlanCache {
   void Clear();
 
   size_t size() const;
-  /// Estimated bytes of the cached Programs (the figure charged against the
-  /// governor lease).
+  /// Estimated bytes of the cached Programs (the `plan_cache_bytes` gauge).
   size_t bytes() const;
   PlanCacheStats stats() const;
   void ResetStats();
 
   /// Rough footprint of one compiled plan: variable table, instruction
-  /// stream, interned constants. Exposed for tests sizing capacity budgets.
+  /// stream, interned constants.
   static size_t EstimateEntryBytes(const Entry& e);
 
  private:
@@ -114,16 +102,16 @@ class PlanCache {
     std::unique_ptr<std::atomic<uint64_t>> last_use;
   };
 
-  /// Drops the least-recently-used slot; returns false when the map is
-  /// empty. Requires the exclusive lock.
-  bool EvictLruLocked();
+  /// Drops the least-recently-used slot of a non-empty map. Requires the
+  /// exclusive lock.
+  void EvictLruLocked();
 
+  const size_t max_plans_;  ///< 0 = unbounded
   mutable std::shared_mutex mu_;
   std::unordered_map<std::string, Slot> plans_;
   size_t bytes_ = 0;  ///< Σ est_bytes (guarded by mu_)
   std::atomic<uint64_t> use_clock_{0};
-  ResourceGovernor::Lease* lease_ = nullptr;  ///< null = unbounded
-  obs::EventRing* events_ = nullptr;          ///< optional eviction-event sink
+  obs::EventRing* events_ = nullptr;  ///< optional eviction-event sink
   std::atomic<uint64_t> lookups_{0}, hits_{0}, compiles_{0}, invalidations_{0},
       evictions_{0};
 };

@@ -69,7 +69,10 @@ QueryService::QueryService(std::unique_ptr<Catalog> catalog, ServiceConfig cfg)
 }
 
 QueryService::QueryService(Catalog* catalog, ServiceConfig cfg)
-    : catalog_(catalog), cfg_(cfg), recycler_(cfg.recycler, &governor_) {
+    : catalog_(catalog),
+      cfg_(cfg),
+      recycler_(cfg.recycler),
+      plan_cache_(cfg.plan_cache_capacity) {
   if (cfg_.num_workers < 1) cfg_.num_workers = 1;
   // Metric registration happens before the workers start, so the hot paths
   // only ever touch stable pointers.
@@ -110,11 +113,6 @@ QueryService::QueryService(Catalog* catalog, ServiceConfig cfg)
   metrics_.AddGaugeFn("snapshot_epoch", [this] { return catalog_->epoch(); });
   recycler_.set_event_ring(&events_);
   plan_cache_.set_event_ring(&events_);
-  // The plan cache leases its capacity from the same governor the recycle
-  // pool budgets live in: one place owns every byte the serving stack may
-  // cache (see `.gov` in the SQL shell).
-  plan_cache_.EnableCapacity(&governor_, cfg_.plan_cache_capacity,
-                             cfg_.plan_cache_max_bytes);
   // At most one service may drive a catalog at a time (see the borrowing
   // constructor's contract): a second attach would silently disconnect the
   // first service's invalidation hook, so fail loudly instead.
@@ -731,8 +729,8 @@ ServiceStats QueryService::SnapshotStats() const {
 
 obs::RegistrySnapshot QueryService::MetricsSnapshot() const {
   obs::RegistrySnapshot snap = metrics_.Snapshot();
-  // Merge in counters owned by the plan cache, the recycler, and the
-  // governor, so one export carries the whole serving stack.
+  // Merge in counters owned by the plan cache and the recycler (including
+  // its budget slots), so one export carries the whole serving stack.
   ServiceStats s = SnapshotStats();
   snap.AddCounter("plan_cache_lookups", s.plan_lookups);
   snap.AddCounter("plan_cache_hits", s.plan_hits);

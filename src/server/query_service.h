@@ -30,14 +30,10 @@ namespace recycledb {
 struct ServiceConfig {
   int num_workers = 4;      ///< fixed-size worker pool
   RecyclerConfig recycler;  ///< knobs of the shared recycle pool
-  /// Plan-cache capacity, leased from the service's resource governor: at
-  /// most this many cached fingerprints, LRU-evicted beyond it (0 =
-  /// unlimited). In-flight queries are unaffected by evictions — they hold
-  /// their Program by shared_ptr.
+  /// Plan-cache capacity: at most this many cached fingerprints,
+  /// LRU-evicted beyond it (0 = unlimited). In-flight queries are
+  /// unaffected by evictions — they hold their Program by shared_ptr.
   size_t plan_cache_capacity = 256;
-  /// Byte companion to the above: estimated Program bytes the cache may
-  /// hold (0 = unlimited).
-  size_t plan_cache_max_bytes = 0;
   /// Trace 1 of every N queries (SELECT submissions and Program Submits)
   /// with a full span tree + per-instruction recycler decision records;
   /// 0 (the default) samples nothing. Explicit `TRACE SELECT ...`
@@ -69,9 +65,9 @@ struct ServiceStats {
   uint64_t pool_stripes = 0;
   uint64_t pool_excl_locks = 0;
   uint64_t pool_shared_locks = 0;
-  // Memory-governance counters (zero without a budget): lease borrows
-  // beyond the stripe fair share, denied/partial acquisitions, pressure
-  // rebalances, and how often anything locked every stripe at once (commit
+  // Pool budget counters (zero without a budget): slot borrows beyond the
+  // stripe fair share, denied/partial acquisitions, pressure rebalances,
+  // and how often anything locked every stripe at once (commit
   // maintenance, Clear/ResetStats; admission never adds to it).
   uint64_t pool_borrows = 0;
   uint64_t pool_borrow_denied = 0;
@@ -249,9 +245,6 @@ class QueryService {
   const ConcurrentRecycler& recycler() const { return recycler_; }
   PlanCache& plan_cache() { return plan_cache_; }
   const PlanCache& plan_cache() const { return plan_cache_; }
-  /// The process-wide memory governor: hosts the recycle pool's budget
-  /// domain and the plan cache's capacity domain.
-  const ResourceGovernor& governor() const { return governor_; }
 
   /// One consistent read of every service counter (each counter is read
   /// exactly once, into one plain struct — field-by-field reads at call
@@ -268,13 +261,13 @@ class QueryService {
   obs::MetricsRegistry& metrics() { return metrics_; }
   const obs::MetricsRegistry& metrics() const { return metrics_; }
 
-  /// Recent governance/maintenance events (pool borrows and sheds, plan
+  /// Recent budget/maintenance events (pool borrows and sheds, plan
   /// evictions, commit invalidation/propagation, request cancellations).
   const obs::EventRing& events() const { return events_; }
   obs::EventRing& events() { return events_; }
 
-  /// Registry snapshot extended with the plan-cache, recycler, and
-  /// governance counters the registry does not own — the single source for
+  /// Registry snapshot extended with the plan-cache, recycler, and pool
+  /// budget counters the registry does not own — the single source for
   /// both export formats below.
   obs::RegistrySnapshot MetricsSnapshot() const;
 
@@ -362,9 +355,6 @@ class QueryService {
   /// the event ring, and metric registration happens before workers start.
   obs::MetricsRegistry metrics_;
   obs::EventRing events_;
-  /// Declared before its consumers: the recycler and plan cache register
-  /// their budget domains into it at construction.
-  ResourceGovernor governor_;
   ConcurrentRecycler recycler_;
   PlanCache plan_cache_;
 

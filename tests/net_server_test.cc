@@ -1,6 +1,7 @@
 // End-to-end tests for the network service: a full mixed workload over
 // loopback with results byte-identical to an in-process Submit, session
-// options, BUSY admission control under injected governor pressure,
+// options, BUSY admission control under injected and real pool budget
+// pressure,
 // CANCEL semantics (counter + event-ring visibility), protocol-error
 // handling for garbage bytes, graceful Stop() draining, and a
 // start/stop/churn stress loop (TSan-clean, no sleeps in shutdown).
@@ -20,6 +21,7 @@
 
 #include "net/client.h"
 #include "net/server.h"
+#include "pool_test_driver.h"
 #include "server/query_service.h"
 #include "sql_test_util.h"
 #include "util/rng.h"
@@ -338,7 +340,24 @@ TEST(NetServerTest, RemoteSelectCompletesDuringInflightCommit) {
 // Admission control.
 // ---------------------------------------------------------------------------
 
-TEST(NetServerTest, BusyUnderInjectedGovernorPressure) {
+/// Sends three pipelined queries in one write (one read on the server,
+/// handled back-to-back before any completion) and counts RESULT and BUSY
+/// replies.
+void PipelineThree(RawConn* conn, int* results, int* busy) {
+  conn->SendBytes(RawConn::QueryBytes(10, "select count(*) from t") +
+                  RawConn::QueryBytes(11, "select count(*) from t") +
+                  RawConn::QueryBytes(12, "select count(*) from t"));
+  *results = 0;
+  *busy = 0;
+  for (int i = 0; i < 3; ++i) {
+    Frame f;
+    ASSERT_TRUE(conn->ReadFrame(&f)) << i;
+    if (f.kind == FrameKind::kResult) ++*results;
+    if (f.kind == FrameKind::kBusy) ++*busy;
+  }
+}
+
+TEST(NetServerTest, BusyUnderInjectedPressure) {
   auto svc = MakeService();
   auto epoch = std::make_shared<std::atomic<uint64_t>>(0);
   net::NetConfig cfg;
@@ -354,22 +373,12 @@ TEST(NetServerTest, BusyUnderInjectedGovernorPressure) {
   ASSERT_TRUE(conn.Connect(server.port()));
   ASSERT_TRUE(conn.Handshake());
 
-  // Trip the pressure signal, then pipeline three queries in one write
-  // (one read on the server, handled back-to-back before any completion):
-  // the window collapses to 1 and parking is disabled, so exactly one is
-  // admitted and two bounce with BUSY.
+  // Trip the pressure signal, then pipeline three queries: the window
+  // collapses to 1 and parking is disabled, so exactly one is admitted and
+  // two bounce with BUSY.
   epoch->fetch_add(1);
-  conn.SendBytes(RawConn::QueryBytes(10, "select count(*) from t") +
-                 RawConn::QueryBytes(11, "select count(*) from t") +
-                 RawConn::QueryBytes(12, "select count(*) from t"));
-
   int results = 0, busy = 0;
-  for (int i = 0; i < 3; ++i) {
-    Frame f;
-    ASSERT_TRUE(conn.ReadFrame(&f)) << i;
-    if (f.kind == FrameKind::kResult) ++results;
-    if (f.kind == FrameKind::kBusy) ++busy;
-  }
+  PipelineThree(&conn, &results, &busy);
   EXPECT_EQ(results, 1);
   EXPECT_EQ(busy, 2);
   EXPECT_NE(svc->DumpMetricsPrometheus().find(
@@ -382,6 +391,38 @@ TEST(NetServerTest, BusyUnderInjectedGovernorPressure) {
   EXPECT_TRUE(net::Client::IsBusy(Status::OutOfRange("BUSY: x")));
   EXPECT_FALSE(net::Client::IsBusy(Status::Internal("nope")));
   EXPECT_TRUE(client.Ping().ok());
+
+  server.Stop();
+}
+
+// No injected source: the server watches the service pool's own pressure
+// epoch, which a starved under-share stripe advances.
+TEST(NetServerTest, BusyUnderPoolBudgetPressure) {
+  ServiceConfig scfg;
+  scfg.num_workers = 2;
+  scfg.recycler = testutil::BoundedCfg(32 * 1024);  // base 4 KB per stripe
+  auto svc = std::make_unique<QueryService>(MakeDb(), scfg);
+  net::NetConfig cfg;
+  cfg.max_inflight_per_conn = 4;
+  cfg.max_pending_per_conn = 8;
+  cfg.pressure_inflight = 1;
+  cfg.pressure_window_ms = 60000;  // stays pressured for the whole test
+  net::RecycleServer server(svc.get(), cfg);
+  ASSERT_TRUE(server.Start().ok());
+
+  RawConn conn;
+  ASSERT_TRUE(conn.Connect(server.port()));
+  ASSERT_TRUE(conn.Handshake());
+
+  const uint64_t before = svc->recycler().pressure_epoch();
+  testutil::DriveStripeSkew(&svc->recycler());
+  EXPECT_GT(svc->recycler().pressure_epoch(), before)
+      << "skewed admissions never starved an under-share stripe";
+
+  int results = 0, busy = 0;
+  PipelineThree(&conn, &results, &busy);
+  EXPECT_EQ(results, 1);
+  EXPECT_EQ(busy, 2);
 
   server.Stop();
 }

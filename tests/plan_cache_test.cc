@@ -68,13 +68,11 @@ TEST(PlanCacheUnitTest, InvalidateDropsOnlyAffectedPlans) {
 }
 
 // ---------------------------------------------------------------------------
-// Capacity: LRU eviction under a governor lease.
+// Capacity: LRU eviction at a plan-count bound.
 // ---------------------------------------------------------------------------
 
 TEST(PlanCacheCapacityTest, DistinctFingerprintsStayAtCapacityInLruOrder) {
-  ResourceGovernor gov;
-  PlanCache cache;
-  cache.EnableCapacity(&gov, /*max_plans=*/3, /*max_bytes=*/0);
+  PlanCache cache(/*max_plans=*/3);
 
   auto a = cache.Insert("a", MakeEntry({0}));
   cache.Insert("b", MakeEntry({0}));
@@ -99,49 +97,8 @@ TEST(PlanCacheCapacityTest, DistinctFingerprintsStayAtCapacityInLruOrder) {
   EXPECT_NE(a->prog, nullptr);
 }
 
-TEST(PlanCacheCapacityTest, ByteBudgetEvictsAndOversizePlanStaysUncached) {
-  PlanCache::Entry probe = MakeEntry({0});
-  const size_t est = PlanCache::EstimateEntryBytes(probe);
-  ASSERT_GT(est, 0u);
-
-  ResourceGovernor gov;
-  PlanCache cache;
-  cache.EnableCapacity(&gov, 0, 2 * est + est / 2);  // room for two plans
-  cache.Insert("a", MakeEntry({0}));
-  cache.Insert("b", MakeEntry({0}));
-  EXPECT_EQ(cache.stats().evictions, 0u);
-  cache.Insert("c", MakeEntry({0}));
-  EXPECT_EQ(cache.size(), 2u);
-  EXPECT_EQ(cache.Lookup("a"), nullptr);  // LRU victim
-  EXPECT_LE(cache.bytes(), 2 * est + est / 2);
-
-  // A plan bigger than the whole budget is returned runnable but uncached —
-  // and it must NOT flush the plans already cached on its way out.
-  PlanCache::Entry big = MakeEntry({0});
-  auto big_prog = std::make_shared<Program>();
-  big_prog->instrs.resize(4096);
-  big.prog = big_prog;
-  ASSERT_GT(PlanCache::EstimateEntryBytes(big), 2 * est + est / 2);
-  auto bp = cache.Insert("big", std::move(big));
-  ASSERT_NE(bp, nullptr);
-  EXPECT_NE(bp->prog, nullptr);
-  EXPECT_EQ(cache.size(), 2u) << "oversize insert wiped the cached plans";
-  EXPECT_EQ(cache.Lookup("big"), nullptr);
-
-  ResourceGovernor gov2;
-  PlanCache tiny;
-  tiny.EnableCapacity(&gov2, 0, est / 2);
-  auto p = tiny.Insert("x", MakeEntry({0}));
-  ASSERT_NE(p, nullptr);
-  EXPECT_NE(p->prog, nullptr);
-  EXPECT_EQ(tiny.size(), 0u);
-  EXPECT_EQ(tiny.Lookup("x"), nullptr);
-}
-
 TEST(PlanCacheCapacityTest, InvalidationReturnsLeasedCapacity) {
-  ResourceGovernor gov;
-  PlanCache cache;
-  cache.EnableCapacity(&gov, 2, 0);
+  PlanCache cache(/*max_plans=*/2);
   cache.Insert("t0", MakeEntry({0}));
   cache.Insert("t1", MakeEntry({1}));
   cache.Invalidate({{0, 0}});  // drops t0, frees its slot

@@ -1,165 +1,125 @@
-// Unified memory governance: ResourceGovernor ledger semantics (leases,
-// borrowing, pressure epochs, conservation), and the ConcurrentRecycler's
-// per-stripe budgets built on it — budgeted admission without any
-// all-stripe lock, stripe-local eviction, borrow/rebalance under skewed
-// stripe load, and the budget invariant under concurrent churn (a TSan
-// target).
+// The recycle pool's budget ledger (PoolBudget: slots, borrowing, pressure
+// and slack epochs, conservation) and the ConcurrentRecycler's per-stripe
+// budgets built on it — budgeted admission without any all-stripe lock,
+// stripe-local eviction, borrow/rebalance under skewed stripe load, and the
+// budget invariant under concurrent churn (a TSan target).
 
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <mutex>
-#include <set>
 #include <thread>
 #include <vector>
 
 #include "core/concurrent_recycler.h"
-#include "core/recycler.h"
-#include "core/resource_governor.h"
-#include "mal/plan_builder.h"
+#include "core/pool_budget.h"
+#include "pool_test_driver.h"
 #include "util/rng.h"
 
 namespace recycledb {
 namespace {
 
+using testutil::BoundedCfg;
+using testutil::ColdBats;
+using testutil::FreshBat;
+using testutil::SynthDriver;
+
 // ---------------------------------------------------------------------------
-// Governor ledger semantics.
+// Budget ledger semantics.
 // ---------------------------------------------------------------------------
 
 TEST(GovernorLedgerTest, AcquireReleaseConservesTheBudget) {
-  ResourceGovernor gov;
-  ResourceGovernor::Domain* d = gov.AddDomain("d", {1000, 10});
-  ResourceGovernor::Lease* a = d->CreateLease("a", 500, 5);
-  ResourceGovernor::Lease* b = d->CreateLease("b", 500, 5);
+  PoolBudget budget(/*max_bytes=*/1000, /*max_entries=*/10, /*num_slots=*/2);
+  PoolBudget::Slot& a = budget.slot(0);  // base 500 B / 5 entries
+  PoolBudget::Slot& b = budget.slot(1);
 
-  EXPECT_TRUE(a->TryAcquire(400, 4));
-  EXPECT_EQ(d->free_bytes(), 600u);
-  EXPECT_EQ(d->free_entries(), 6u);
-  EXPECT_EQ(a->borrows(), 0u);  // within base: not a borrow
+  EXPECT_EQ(a.AcquireBytesUpTo(400), 400u);
+  for (int i = 0; i < 4; ++i) EXPECT_TRUE(a.TryAcquireEntry());
+  EXPECT_EQ(budget.free_bytes(), 600u);
+  EXPECT_EQ(budget.free_entries(), 6u);
+  EXPECT_EQ(a.borrows(), 0u);  // within base: not a borrow
 
   // b takes everything that is left — beyond its base share: a borrow.
-  EXPECT_TRUE(b->TryAcquire(600, 6));
-  EXPECT_EQ(b->borrows(), 1u);
-  EXPECT_EQ(d->free_bytes(), 0u);
+  EXPECT_EQ(b.AcquireBytesUpTo(600), 600u);
+  EXPECT_EQ(b.borrows(), 1u);
+  for (int i = 0; i < 6; ++i) EXPECT_TRUE(b.TryAcquireEntry());
+  EXPECT_EQ(budget.free_bytes(), 0u);
 
   // Conservation at every instant: free + Σ held == max.
-  EXPECT_EQ(d->free_bytes() + a->held_bytes() + b->held_bytes(), 1000u);
-  EXPECT_EQ(d->free_entries() + a->held_entries() + b->held_entries(), 10u);
+  EXPECT_EQ(budget.free_bytes() + a.held_bytes() + b.held_bytes(), 1000u);
+  EXPECT_EQ(budget.free_entries() + a.held_entries() + b.held_entries(), 10u);
 
-  // An under-base lease starving raises the pressure epoch...
-  EXPECT_FALSE(a->TryAcquire(1, 0));
-  EXPECT_EQ(a->denied(), 1u);
-  EXPECT_GE(d->pressure_epoch(), 1u);
+  // An under-base slot starving raises the pressure epoch...
+  EXPECT_EQ(a.AcquireBytesUpTo(1), 0u);
+  EXPECT_EQ(a.denied(), 1u);
+  EXPECT_GE(budget.pressure_epoch(), 1u);
   // ...which only the beyond-base holder observes, and only once per epoch.
-  EXPECT_FALSE(a->SeesPressure());
-  EXPECT_TRUE(b->SeesPressure());
-  EXPECT_FALSE(b->SeesPressure());
+  EXPECT_FALSE(a.SeesPressure());
+  EXPECT_TRUE(b.SeesPressure());
+  EXPECT_FALSE(b.SeesPressure());
 
-  b->Release(600, 6);
-  EXPECT_TRUE(a->TryAcquire(100, 1));
+  b.Release(600, 6);
+  EXPECT_EQ(a.AcquireBytesUpTo(100), 100u);
+  EXPECT_TRUE(a.TryAcquireEntry());
 
-  // Over-release clamps at held: a consumer bug must not mint capacity.
-  a->Release(100000, 1000);
-  b->Release(100000, 1000);
-  EXPECT_EQ(d->free_bytes(), 1000u);
-  EXPECT_EQ(d->free_entries(), 10u);
+  // Over-release clamps at held: a caller bug must not mint capacity.
+  a.Release(100000, 1000);
+  b.Release(100000, 1000);
+  EXPECT_EQ(budget.free_bytes(), 1000u);
+  EXPECT_EQ(budget.free_entries(), 10u);
 }
 
 TEST(GovernorLedgerTest, PartialByteGrantsDrainTheLedgerExactly) {
-  ResourceGovernor gov;
-  ResourceGovernor::Domain* d = gov.AddDomain("d", {100, 0});
-  ResourceGovernor::Lease* l = d->CreateLease("l", 50, 0);
-  EXPECT_EQ(l->AcquireBytesUpTo(70), 70u);
-  EXPECT_EQ(l->AcquireBytesUpTo(70), 30u);  // only 30 left
-  EXPECT_EQ(l->AcquireBytesUpTo(70), 0u);
-  EXPECT_EQ(l->held_bytes(), 100u);
-  EXPECT_EQ(d->free_bytes(), 0u);
-  EXPECT_GE(l->borrows(), 1u);
+  PoolBudget budget(/*max_bytes=*/100, /*max_entries=*/0, /*num_slots=*/2);
+  PoolBudget::Slot& l = budget.slot(0);  // base 50 B
+  EXPECT_EQ(l.AcquireBytesUpTo(70), 70u);
+  EXPECT_EQ(l.AcquireBytesUpTo(70), 30u);  // only 30 left
+  EXPECT_EQ(l.AcquireBytesUpTo(70), 0u);
+  EXPECT_EQ(l.held_bytes(), 100u);
+  EXPECT_EQ(budget.free_bytes(), 0u);
+  EXPECT_GE(l.borrows(), 1u);
 }
 
 TEST(GovernorLedgerTest, UnlimitedResourceAlwaysGrants) {
-  ResourceGovernor gov;
-  ResourceGovernor::Domain* d = gov.AddDomain("d", {0, 4});  // bytes unlimited
-  ResourceGovernor::Lease* l = d->CreateLease("l", 0, 2);
-  EXPECT_TRUE(l->TryAcquire(1 << 30, 2));
-  EXPECT_TRUE(l->TryAcquire(1 << 30, 2));
-  EXPECT_FALSE(l->TryAcquire(0, 1));  // entries ARE limited
-  EXPECT_EQ(l->held_entries(), 4u);
+  // Bytes unlimited; 4 entries split into two slots of base 2.
+  PoolBudget budget(/*max_bytes=*/0, /*max_entries=*/4, /*num_slots=*/2);
+  PoolBudget::Slot& l = budget.slot(0);
+  EXPECT_EQ(l.AcquireBytesUpTo(1 << 30), size_t{1} << 30);
+  EXPECT_EQ(l.AcquireBytesUpTo(1 << 30), size_t{1} << 30);
+  for (int i = 0; i < 4; ++i) EXPECT_TRUE(l.TryAcquireEntry());
+  EXPECT_FALSE(l.TryAcquireEntry());  // entries ARE limited
+  EXPECT_EQ(l.held_entries(), 4u);
+}
+
+// A standalone Recycler's budget is one slot holding the whole budget: a
+// short ledger always means the slot is at its base, so starvation asks
+// only for slack and never raises pressure.
+TEST(PoolBudgetTest, SingleSlotNeverRaisesPressure) {
+  PoolBudget budget(/*max_bytes=*/100, /*max_entries=*/2, /*num_slots=*/1);
+  PoolBudget::Slot& s = budget.slot(0);
+  EXPECT_EQ(s.base_bytes(), 100u);
+  EXPECT_EQ(s.base_entries(), 2u);
+  EXPECT_EQ(s.AcquireBytesUpTo(60), 60u);
+  EXPECT_EQ(s.AcquireBytesUpTo(60), 40u);
+  EXPECT_TRUE(s.TryAcquireEntry());
+  EXPECT_TRUE(s.TryAcquireEntry());
+  EXPECT_FALSE(s.TryAcquireEntry());
+  EXPECT_EQ(s.AcquireBytesUpTo(1), 0u);
+  EXPECT_EQ(budget.pressure_epoch(), 0u);
+  EXPECT_TRUE(s.SeesSlackRequest());
+  EXPECT_FALSE(s.SeesPressure());
+  EXPECT_EQ(s.borrows(), 0u);
+  EXPECT_EQ(budget.free_bytes() + s.held_bytes(), 100u);
+  EXPECT_EQ(budget.free_entries() + s.held_entries(), 2u);
 }
 
 // ---------------------------------------------------------------------------
 // Per-stripe budgeted admission on a striped pool.
 // ---------------------------------------------------------------------------
 
-BatPtr FreshBat(size_t n) {
-  return Bat::DenseHead(
-      Column::Make(TypeTag::kLng, std::vector<int64_t>(n, 1)));
-}
-
-/// Synthetic single-threaded pool driver (the pool never executes
-/// instructions itself, so opcode/args only need a consistent identity).
-struct SynthDriver {
-  Program prog;
-  std::unique_ptr<ConcurrentRecycler::Session> session;
-
-  explicit SynthDriver(ConcurrentRecycler* rec) {
-    PlanBuilder pb("synth");
-    pb.ExportValue(pb.ConstInt(1), "x");
-    prog = pb.Build();
-    session = rec->NewSession();
-    session->BeginQuery(prog);
-  }
-  ~SynthDriver() { session->EndQuery(); }
-
-  /// Offers (op over `arg`, keyed by `key`); returns true on a pool hit,
-  /// otherwise admits a fresh `result_rows`-row result (8 B/row) and, if
-  /// `produced` is given, hands that result bat back — feeding it into a
-  /// later Step as the argument creates a cross-stripe lineage (children)
-  /// edge onto this admission's entry.
-  bool Step(const BatPtr& arg, int key, size_t result_rows,
-            BatPtr* produced = nullptr) {
-    std::vector<MalValue> args{MalValue(arg), MalValue(Scalar::Int(key))};
-    RecyclerHook::InstrView view{&prog, key % 7, Opcode::kSelectNotNil, &args};
-    std::vector<MalValue> rets;
-    if (session->OnEntry(view, &rets)) return true;
-    BatPtr out = FreshBat(result_rows);
-    if (produced != nullptr) *produced = out;
-    std::vector<MalValue> results{MalValue(std::move(out))};
-    session->OnExit(view, results, 0.01, {ColumnId{0, 0}});
-    return false;
-  }
-};
-
-/// `n` fresh bats whose Steps land on distinct stripes other than `hot`'s:
-/// the cold traffic of the skew tests must never admit into the hot stripe
-/// (which stripe a bat hashes to depends on its process-wide id).
-std::vector<BatPtr> ColdBats(const ConcurrentRecycler& rec, const BatPtr& hot,
-                             size_t n) {
-  auto stripe_of = [&rec](const BatPtr& b) {
-    std::vector<MalValue> args{MalValue(b), MalValue(Scalar::Int(0))};
-    return rec.StripeOf(Opcode::kSelectNotNil, args);
-  };
-  std::set<size_t> used{stripe_of(hot)};
-  std::vector<BatPtr> out;
-  while (out.size() < n) {
-    BatPtr b = FreshBat(4);
-    if (used.insert(stripe_of(b)).second) out.push_back(std::move(b));
-  }
-  return out;
-}
-
-RecyclerConfig BoundedCfg(size_t max_bytes) {
-  RecyclerConfig cfg;
-  cfg.pool_stripes = 8;
-  cfg.max_bytes = max_bytes;
-  cfg.eviction = EvictionKind::kLru;
-  cfg.enable_subsumption = false;  // synthetic instructions, no candidates
-  return cfg;
-}
-
 // A budgeted admission-heavy workload performs ZERO all-stripe lock
-// acquisitions: each admission charges its own stripe's lease and evicts
-// within that stripe, under that stripe's lock alone.
+// acquisitions: each admission charges its own stripe's budget slot and
+// evicts within that stripe, under that stripe's lock alone.
 TEST(PerStripeBudgetTest, BudgetedAdmissionTakesNoAllStripeLock) {
   RecyclerConfig cfg = BoundedCfg(48 * 1024);
   ConcurrentRecycler rec(cfg);
@@ -178,9 +138,9 @@ TEST(PerStripeBudgetTest, BudgetedAdmissionTakesNoAllStripeLock) {
 }
 
 // Skewed stripe load under a small per-stripe budget. One stripe receives
-// ~10x the bytes of any other; the hot stripe leases the idle stripes'
-// unused share through the governor, so its replay hit ratio stays high.
-// A lease hard-capped at its max/N share (12 KB, 6 hot entries) could
+// ~10x the bytes of any other; the hot stripe borrows the idle stripes'
+// unused share through the ledger, so its replay hit ratio stays high.
+// A slot hard-capped at its max/N share (12 KB, 6 hot entries) could
 // replay at most 6 of the 40 hot entries; borrowing must replay over 30.
 // The budget must hold THROUGHOUT the run.
 TEST(PerStripeBudgetTest, SkewedLoadBorrowBeatsTheNoBorrowAblation) {
@@ -220,20 +180,9 @@ TEST(PerStripeBudgetTest, SkewedLoadBorrowBeatsTheNoBorrowAblation) {
 TEST(PerStripeBudgetTest, PressureRebalancesTheBorrowingStripe) {
   constexpr size_t kBudget = 32 * 1024;  // base = 4 KB per stripe
   ConcurrentRecycler rec(BoundedCfg(kBudget));
-  SynthDriver d(&rec);
-
-  BatPtr hot = FreshBat(4);
-  for (int i = 0; i < 14; ++i) d.Step(hot, i, 256);  // ~28 KB borrowed
-
-  // Cold stripes now admit 2 KB entries each: their under-base acquisitions
-  // starve on the dry ledger and raise pressure; the hot stripe sheds at
-  // its next admission.
-  std::vector<BatPtr> cold = ColdBats(rec, hot, 6);
-  for (int round = 0; round < 3; ++round) {
-    for (size_t c = 0; c < cold.size(); ++c)
-      d.Step(cold[c], 100 + round, 256);
-    d.Step(hot, 1000 + round, 256);  // gives the hot stripe a shed point
-  }
+  // ~28 KB borrowed by one stripe, then cold stripes starve and raise
+  // pressure; the hot stripe sheds at its next admission.
+  testutil::DriveStripeSkew(&rec);
 
   uint64_t rebalances = 0;
   for (const auto& st : rec.stripe_stats()) rebalances += st.rebalances;
@@ -243,9 +192,9 @@ TEST(PerStripeBudgetTest, PressureRebalancesTheBorrowingStripe) {
 }
 
 // A stripe that stops admitting but keeps serving hits must still answer
-// the governor from the PROBE path: after an under-share stripe starves,
-// the borrowing hit-only stripe sheds to base and the capacity reappears
-// in the domain's free ledger.
+// the budget from the PROBE path: after an under-share stripe starves, the
+// borrowing hit-only stripe sheds to base and the capacity reappears in
+// the free ledger.
 TEST(PerStripeBudgetTest, HitOnlyStripeShedsOnPressureFromTheProbePath) {
   constexpr size_t kBudget = 32 * 1024;  // base = 4 KB per stripe
   ConcurrentRecycler rec(BoundedCfg(kBudget));
@@ -267,13 +216,12 @@ TEST(PerStripeBudgetTest, HitOnlyStripeShedsOnPressureFromTheProbePath) {
   uint64_t rebal_after = 0;
   for (const auto& st : rec.stripe_stats()) rebal_after += st.rebalances;
   EXPECT_GT(rebal_after, rebal_before)
-      << "the probe path never serviced governor pressure";
+      << "the probe path never serviced budget pressure";
   EXPECT_LE(rec.pool_bytes(), kBudget);
   EXPECT_EQ(rec.all_stripe_ops(), 0u);
-  ASSERT_NE(rec.governor(), nullptr);
-  auto domains = rec.governor()->stats();
-  ASSERT_EQ(domains.size(), 1u);
-  EXPECT_GT(domains[0].free_bytes, 0u) << "shed capacity never hit the ledger";
+  ASSERT_NE(rec.budget(), nullptr);
+  EXPECT_GT(rec.budget()->free_bytes(), 0u)
+      << "shed capacity never hit the ledger";
 }
 
 // Concurrent churn with skew: the budget invariant must hold at every
@@ -326,6 +274,10 @@ TEST(PerStripeBudgetTest, ConcurrentSkewedChurnHoldsTheBudget) {
     }
     for (auto& th : threads) th.join();
     EXPECT_LE(rec.pool_bytes(), kBudget) << "phase " << phase;
+    // Conservation at the barrier: free + Σ held == budget.
+    size_t held = 0;
+    for (const auto& st : rec.stripe_stats()) held += st.budget_held_bytes;
+    EXPECT_EQ(rec.budget()->free_bytes() + held, kBudget) << "phase " << phase;
   }
 
   RecyclerStats s = rec.stats();

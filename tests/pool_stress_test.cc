@@ -137,7 +137,7 @@ class StripedPoolStressTest : public ::testing::TestWithParam<EvictionKind> {};
 
 TEST_P(StripedPoolStressTest, MixedOpsRespectBudgetAndRollUp) {
   // Mixed admission/eviction/invalidation churn from several threads over a
-  // striped pool with a byte budget (governor leases, stripe-local
+  // striped pool with a byte budget (per-stripe budget slots, stripe-local
   // eviction, borrow/rebalance through the atomic ledger), once per
   // eviction policy that picks the stripe-local victims. Argument bats
   // are pre-selected to pin work onto several distinct stripes. At every

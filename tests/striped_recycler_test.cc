@@ -2,10 +2,12 @@
 // must make IDENTICAL hit/miss/admission/eviction decisions to a plain
 // (unstriped) Recycler — same pool contents, same stats totals — with N
 // stripes on a fig4-style (unlimited, subsumption-heavy) workload, and with
-// one stripe under fig10-style entry and byte budgets (its governor lease
-// then covers the whole budget). Plus: the CREDIT/ADAPT exact-hit path
-// must stay on the shared lock (asserted via the stripe contention
-// counters), and the stripe key must co-locate subsumption candidates.
+// one stripe under fig10-style entry and byte budgets (its budget slot
+// then covers the whole budget, and a standalone Recycler runs the same
+// admission code with its own one-slot budget). Plus: the CREDIT/ADAPT
+// exact-hit path must stay on the shared lock (asserted via the stripe
+// contention counters), and the stripe key must co-locate subsumption
+// candidates.
 
 #include <gtest/gtest.h>
 
@@ -133,9 +135,9 @@ TEST(StripedParityTest, Fig4StyleUnlimitedSubsumption) {
 
 TEST(StripedParityTest, Fig10StyleBoundedEntriesLru) {
   // Entry-budget eviction (the fig10 setting, LRU policy — deterministic
-  // victim order via the logical clock). One stripe leases the whole budget
-  // and evicts exactly like the unstriped pool; with more stripes victims
-  // are chosen stripe-locally (covered by resource_governor_test).
+  // victim order via the logical clock). One stripe's slot holds the whole
+  // budget and evicts exactly like the unstriped pool; with more stripes
+  // victims are chosen stripe-locally (covered by pool_budget_test).
   Batch b = MakeBatch({4, 12, 19}, 8, 7);
   RecyclerConfig cfg;
   cfg.max_entries = 24;
