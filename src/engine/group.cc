@@ -1,4 +1,5 @@
 #include <unordered_map>
+#include <unordered_set>
 
 #include "engine/detail.h"
 #include "engine/materialize.h"
@@ -8,6 +9,16 @@ namespace recycledb::engine {
 
 using detail::AnySideReader;
 using detail::RawSideArray;
+
+namespace {
+
+/// Buckets a grouping table starts with. A few groups (Q1 has six) then
+/// rarely share a bucket, as they often do in the small table an empty map
+/// grows into, and a shared bucket costs a mispredicted chain walk per row.
+/// Beyond that the table grows with the groups found, never with the rows.
+constexpr size_t kInitialBuckets = 64;
+
+}  // namespace
 
 Result<BatPtr> Kunique(const BatPtr& b) {
   const BatSide& head = b->head();
@@ -19,11 +30,12 @@ Result<BatPtr> Kunique(const BatPtr& b) {
     using T = typename decltype(tag)::type;
     AnySideReader<T> reader(head);
     size_t n = b->size();
-    std::unordered_map<T, uint32_t> seen;
-    seen.reserve(n);
+    // insert() looks up before it allocates, so a duplicate costs a probe
+    // only.
+    std::unordered_set<T> seen(kInitialBuckets);
     SelVector sel;
     for (size_t i = 0; i < n; ++i) {
-      if (seen.emplace(reader[i], static_cast<uint32_t>(i)).second)
+      if (seen.insert(reader[i]).second)
         sel.push_back(static_cast<uint32_t>(i));
     }
     if (sel.size() == n) return b;
@@ -42,13 +54,14 @@ GroupResult GroupByTyped(const BatPtr& keys) {
   // string tails) are read in place instead of copied per row.
   std::vector<T> ktmp;
   const T* kv = RawSideArray<T>(keys->tail(), n, &ktmp);
-  std::unordered_map<T, Oid> groups;
-  groups.reserve(n);
+  // try_emplace builds a node only for a new group.
+  std::unordered_map<T, Oid> groups(kInitialBuckets);
   std::vector<Oid> map;
   map.reserve(n);
   std::vector<Oid> reps;
   for (size_t i = 0; i < n; ++i) {
-    auto [it, fresh] = groups.emplace(kv[i], static_cast<Oid>(groups.size()));
+    auto [it, fresh] =
+        groups.try_emplace(kv[i], static_cast<Oid>(groups.size()));
     if (fresh) reps.push_back(heads[i]);
     map.push_back(it->second);
   }
@@ -83,8 +96,7 @@ GroupResult SubGroupByTyped(const BatPtr& keys, const BatPtr& prev_map) {
   const Oid* prev = RawSideArray<Oid>(prev_map->tail(), n, &ptmp);
   // Group on (previous gid, key value); to avoid per-type pair maps we key
   // on (gid, hash(value)) and verify values via a representative check.
-  std::unordered_map<PairKey, Oid, PairKeyHash> groups;
-  groups.reserve(n);
+  std::unordered_map<PairKey, Oid, PairKeyHash> groups(kInitialBuckets);
   std::vector<uint32_t> first_row;  // representative row per new gid
   std::vector<Oid> map;
   map.reserve(n);

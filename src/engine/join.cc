@@ -69,18 +69,24 @@ Result<BatPtr> PositionalJoin(const BatPtr& l, const BatPtr& r) {
     });
   }
 
-  SelVector sel_l, pos_r;
-  sel_l.reserve(ln);
-  pos_r.reserve(ln);
+  // Branch-free compaction: every pair is written, and only a non-nil value
+  // inside r's dense head advances the output cursor.
+  SelVector sel_l(ln), pos_r(ln);
+  size_t k = 0;
   for (size_t i = 0; i < ln; ++i) {
     Oid v = reader[i];
-    if (v == kNilOid) continue;
-    if (v < seq || v - seq >= rn) continue;
-    sel_l.push_back(static_cast<uint32_t>(i));
-    pos_r.push_back(static_cast<uint32_t>(v - seq));
+    sel_l[k] = static_cast<uint32_t>(i);
+    pos_r[k] = static_cast<uint32_t>(v - seq);
+    k += v != kNilOid && v >= seq && v - seq < rn;
   }
-  return Bat::Make(TakeSide(l->head(), ln, sel_l),
-                   TakeSide(r->tail(), rn, pos_r), sel_l.size());
+  sel_l.resize(k);
+  pos_r.resize(k);
+  // Every value in range (the fetch after Rebase): l's head carries over as
+  // it is, so a dense head stays dense and a materialised one is shared.
+  BatSide head =
+      sel_l.size() == ln ? l->head() : TakeSide(l->head(), ln, sel_l);
+  return Bat::Make(std::move(head), TakeSide(r->tail(), rn, pos_r),
+                   sel_l.size());
 }
 
 template <typename T>
@@ -160,6 +166,25 @@ Result<BatPtr> HashSemijoin(const BatPtr& l, const BatPtr& r, bool anti) {
                    sel.size());
 }
 
+/// Dense-headed semijoin: l's heads are the positions seq, seq+1, ..., so
+/// r's heads mark l's rows in a bitmap directly. A duplicate sets its bit
+/// twice, a nil or out-of-range head sets none, and the compaction yields
+/// the ascending positions HashSemijoin would keep.
+Result<BatPtr> DenseSemijoin(const BatPtr& l, const BatPtr& r) {
+  const Oid seq = l->head().seq;
+  const size_t ln = l->size(), rn = r->size();
+  const Oid* rv = r->head().col->Data<Oid>().data() + r->head().offset;
+  std::vector<uint64_t> bits(vec::BitmapWords(ln), 0);
+  for (size_t j = 0; j < rn; ++j) {
+    Oid p = rv[j] - seq;
+    if (rv[j] != kNilOid && p < ln) bits[p >> 6] |= uint64_t{1} << (p & 63);
+  }
+  SelVector sel;
+  vec::BitsToSel(bits.data(), ln, &sel);
+  return Bat::Make(TakeSide(l->head(), ln, sel), TakeSide(l->tail(), ln, sel),
+                   sel.size());
+}
+
 }  // namespace
 
 Result<BatPtr> Semijoin(const BatPtr& l, const BatPtr& r) {
@@ -179,6 +204,8 @@ Result<BatPtr> Semijoin(const BatPtr& l, const BatPtr& r) {
     return Bat::Make(SliceSide(l->head(), off, len),
                      SliceSide(l->tail(), off, len), len);
   }
+  if (l->head().dense() && r->head().col->encoding() == nullptr)
+    return DenseSemijoin(l, r);
 
   return VisitPhysical(rt, [&](auto tag) -> Result<BatPtr> {
     using T = typename decltype(tag)::type;

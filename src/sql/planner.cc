@@ -585,7 +585,7 @@ class StmtPlanner {
     if (arg->kind == Expr::Kind::kColumn) {
       RDB_ASSIGN_OR_RETURN(auto rc, ResolveColumn(arg->col));
       TypeTag ct = scopes_[rc.first].table->column_type(rc.second);
-      bool ok;
+      bool ok = false;
       switch (f) {
         case AggFunc::kCount:
           ok = true;

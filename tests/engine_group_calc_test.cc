@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <unordered_map>
+
 #include "engine/operators.h"
 
 namespace recycledb {
@@ -84,6 +87,24 @@ TEST(KuniqueTest, FirstOccurrenceKept) {
   EXPECT_EQ(u->HeadAt(0), Scalar::OidVal(5));
   EXPECT_EQ(u->HeadAt(1), Scalar::OidVal(3));
   EXPECT_EQ(u->HeadAt(2), Scalar::OidVal(7));
+
+  // Many duplicates: 2000 rows over 97 values, first occurrences in the
+  // order (i * 37) % 97 first produces them.
+  std::vector<Oid> heads;
+  std::vector<int32_t> tails;
+  for (int i = 0; i < 2000; ++i) {
+    heads.push_back(static_cast<Oid>((i * 37) % 97));
+    tails.push_back(i);
+  }
+  auto many = Bat::Make(
+      BatSide::Materialized(Column::Make(TypeTag::kOid, heads)),
+      BatSide::Materialized(Column::Make(TypeTag::kInt, tails)), heads.size());
+  auto mu = Kunique(many).ValueOrDie();
+  ASSERT_EQ(mu->size(), 97u);
+  for (size_t i = 0; i < 97; ++i) {
+    EXPECT_EQ(mu->HeadAt(i), Scalar::OidVal(heads[i])) << i;
+    EXPECT_EQ(mu->TailAt(i), Scalar::Int(static_cast<int32_t>(i))) << i;
+  }
 }
 
 TEST(KuniqueTest, DenseHeadIsNoop) {
@@ -119,6 +140,38 @@ TEST(GroupByTest, RefinementMatchesCompositeKey) {
   EXPECT_EQ(g2.map->TailAt(0), g2.map->TailAt(4));
   EXPECT_EQ(g2.map->TailAt(2), g2.map->TailAt(3));
   EXPECT_NE(g2.map->TailAt(0), g2.map->TailAt(1));
+}
+
+TEST(GroupByTest, ManyStringGroupsKeepFirstOccurrenceOrder) {
+  // 150 distinct strings, first seen in a scrambled order, then repeated.
+  std::vector<std::string> keys;
+  for (int i = 0; i < 600; ++i)
+    keys.push_back("k" + std::to_string((i * 53) % 150));
+  std::vector<int32_t> outer;
+  for (int i = 0; i < 600; ++i) outer.push_back(i % 4);
+
+  auto g = GroupBy(StrBat(keys)).ValueOrDie();
+  auto sub = SubGroupBy(StrBat(keys), GroupBy(IntBat(outer)).ValueOrDie().map)
+                 .ValueOrDie();
+  // Expected gids: the rank of each key's (composite) first occurrence.
+  std::unordered_map<std::string, Oid> gid, sub_gid;
+  std::vector<Oid> reps, sub_reps;
+  for (size_t i = 0; i < keys.size(); ++i) {
+    if (gid.try_emplace(keys[i], gid.size()).second) reps.push_back(i);
+    std::string composite = std::to_string(outer[i]) + "/" + keys[i];
+    if (sub_gid.try_emplace(composite, sub_gid.size()).second)
+      sub_reps.push_back(i);
+    EXPECT_EQ(g.map->TailAt(i), Scalar::OidVal(gid[keys[i]])) << i;
+    EXPECT_EQ(sub.map->TailAt(i), Scalar::OidVal(sub_gid[composite])) << i;
+  }
+  ASSERT_EQ(gid.size(), 150u);
+  ASSERT_EQ(sub_gid.size(), 300u);
+  ASSERT_EQ(g.reps->size(), reps.size());
+  for (size_t k = 0; k < reps.size(); ++k)
+    EXPECT_EQ(g.reps->TailAt(k), Scalar::OidVal(reps[k]));
+  ASSERT_EQ(sub.reps->size(), sub_reps.size());
+  for (size_t k = 0; k < sub_reps.size(); ++k)
+    EXPECT_EQ(sub.reps->TailAt(k), Scalar::OidVal(sub_reps[k]));
 }
 
 TEST(GroupedAggrTest, SumCountMinMaxAvg) {

@@ -40,11 +40,92 @@ TEST(JoinTest, PositionalFetchJoin) {
 }
 
 TEST(JoinTest, PositionalOutOfRangeDropped) {
+  // One nil and one out-of-range oid: the general loop drops both pairs
+  // and gathers the heads of the kept ones.
   auto l = OidBat({1, 9, kNilOid});
   auto r = IntBat({10, 20});
   auto j = Join(l, r).ValueOrDie();
   ASSERT_EQ(j->size(), 1u);
   EXPECT_EQ(j->TailAt(0), Scalar::Int(20));
+  ASSERT_FALSE(j->head().dense());
+  EXPECT_TRUE(j->head().col->key());
+  EXPECT_EQ(j->HeadAt(0), Scalar::OidVal(0));
+}
+
+// [dense(hseq) -> oid-col] bat: the shape a fetch gets after Rebase.
+BatPtr DenseOidBat(Oid hseq, std::vector<Oid> v) {
+  return Bat::DenseHead(Column::Make(TypeTag::kOid, std::move(v)), hseq);
+}
+
+// Values, and the gathered tail's sorted/key flags, of two fetch results.
+void ExpectSameFetch(const BatPtr& got, const BatPtr& want) {
+  ASSERT_EQ(got->size(), want->size());
+  for (size_t i = 0; i < got->size(); ++i) {
+    EXPECT_EQ(got->HeadAt(i), want->HeadAt(i)) << i;
+    EXPECT_EQ(got->TailAt(i), want->TailAt(i)) << i;
+  }
+  EXPECT_EQ(got->tail().col->sorted(), want->tail().col->sorted());
+  EXPECT_EQ(got->tail().col->key(), want->tail().col->key());
+}
+
+TEST(JoinTest, InRangeFetchKeepsDenseHead) {
+  auto l = DenseOidBat(3, {2, 0, 3});
+  auto r = IntBat({10, 20, 30, 40});
+  auto j = Join(l, r).ValueOrDie();
+  ASSERT_EQ(j->size(), 3u);
+  ASSERT_TRUE(j->head().dense());
+  EXPECT_EQ(j->HeadAt(0), Scalar::OidVal(3));
+  EXPECT_EQ(j->HeadAt(2), Scalar::OidVal(5));
+  EXPECT_EQ(j->TailAt(0), Scalar::Int(30));
+  EXPECT_EQ(j->TailAt(1), Scalar::Int(10));
+  EXPECT_EQ(j->TailAt(2), Scalar::Int(40));
+  EXPECT_EQ(j->MemoryBytes(), j->tail().col->MemoryBytes())
+      << "a dense head charges nothing";
+}
+
+TEST(JoinTest, InRangeFetchSharesHeadAndMatchesGeneralPath) {
+  // r: a dense head at seq 10 over a sorted and an unsorted int tail.
+  auto sorted_col = Column::Make(
+      TypeTag::kInt, std::vector<int32_t>{1, 2, 3, 5, 8, 13, 21, 34});
+  sorted_col->set_sorted(true);
+  auto unsorted_col = Column::Make(
+      TypeTag::kInt, std::vector<int32_t>{9, 4, 7, 1, 8, 2, 6, 3});
+  for (const auto& rcol : {sorted_col, unsorted_col}) {
+    auto r = Bat::DenseHead(rcol, 10);
+    for (std::vector<Oid> vals : {std::vector<Oid>{10, 11, 13, 14, 17},
+                                  std::vector<Oid>{14, 10, 17, 13, 11}}) {
+      const size_t n = vals.size();
+      for (size_t off : {size_t{0}, size_t{2}}) {
+        // Heads and tails live at [off, off+n) of their columns; the pair
+        // at off+n holds an out-of-range oid, so the bat one row longer
+        // takes the general loop, which drops exactly that pair.
+        std::vector<Oid> heads(off, 0), tails(off, 0);
+        for (size_t i = 0; i < n; ++i) {
+          heads.push_back(500 + 3 * i);
+          tails.push_back(vals[i]);
+        }
+        heads.push_back(999);
+        tails.push_back(99);
+        auto hcol = Column::Make(TypeTag::kOid, heads);
+        hcol->set_sorted(true);
+        auto tcol = Column::Make(TypeTag::kOid, tails);
+        auto fast = Join(Bat::Make(BatSide::Materialized(hcol, off),
+                                   BatSide::Materialized(tcol, off), n),
+                         r)
+                        .ValueOrDie();
+        auto general = Join(Bat::Make(BatSide::Materialized(hcol, off),
+                                      BatSide::Materialized(tcol, off), n + 1),
+                            r)
+                           .ValueOrDie();
+        EXPECT_EQ(fast->head().col, hcol) << "head shared, not copied";
+        EXPECT_EQ(fast->head().offset, off);
+        EXPECT_NE(general->head().col, hcol);
+        ExpectSameFetch(fast, general);
+        const bool increasing = std::is_sorted(vals.begin(), vals.end());
+        EXPECT_EQ(fast->tail().col->sorted(), rcol == sorted_col && increasing);
+      }
+    }
+  }
 }
 
 TEST(JoinTest, DenseDenseWindow) {
@@ -113,6 +194,48 @@ TEST(SemijoinTest, HashPath) {
   EXPECT_EQ(s->HeadAt(0), Scalar::OidVal(2));
   EXPECT_EQ(s->TailAt(0), Scalar::Int(20));
   EXPECT_EQ(s->HeadAt(1), Scalar::OidVal(4));
+}
+
+TEST(SemijoinTest, DenseLeftBitmapMatchesHashPath) {
+  // l: heads seq, seq+1, ... (seq 0 and an offset seq 100); tails are a
+  // view at offset 1 of a larger column.
+  auto ltail = Column::Make(TypeTag::kInt,
+                            std::vector<int32_t>{-1, 10, 11, 12, 13, 14, 15});
+  const size_t ln = 6;
+  const std::vector<std::vector<Oid>> rheads_cases = {
+      {},                                           // empty r
+      {3, 1, 3, 5, 1},                              // duplicates, unsorted
+      {kNilOid, 2, kNilOid},                        // nils
+      {7, 99, 0, 4, kNilOid - 1},                   // out of range above
+      {0, 1, 2, 3, 4, 5},                           // every row
+  };
+  for (Oid seq : {Oid{0}, Oid{100}}) {
+    std::vector<Oid> heads;
+    for (size_t i = 0; i < ln; ++i) heads.push_back(seq + i);
+    auto dense_l = Bat::Make(BatSide::Dense(seq),
+                             BatSide::Materialized(ltail, 1), ln);
+    // The same pairs with a materialised head take HashSemijoin.
+    auto hash_l = Bat::Make(
+        BatSide::Materialized(Column::Make(TypeTag::kOid, heads)),
+        BatSide::Materialized(ltail, 1), ln);
+    for (std::vector<Oid> rheads : rheads_cases) {
+      for (Oid& h : rheads) {
+        if (h != kNilOid && h != kNilOid - 1) h += seq;
+      }
+      if (seq > 0) rheads.push_back(seq - 1);  // out of range below
+      std::vector<int32_t> rtails(rheads.size(), 0);
+      auto r = HeadedBat(rheads, rtails);
+      auto got = Semijoin(dense_l, r).ValueOrDie();
+      auto want = Semijoin(hash_l, r).ValueOrDie();
+      ASSERT_EQ(got->size(), want->size());
+      for (size_t i = 0; i < got->size(); ++i) {
+        EXPECT_EQ(got->HeadAt(i), want->HeadAt(i)) << i;
+        EXPECT_EQ(got->TailAt(i), want->TailAt(i)) << i;
+      }
+      EXPECT_TRUE(got->head().col->sorted());
+      EXPECT_TRUE(got->head().col->key());
+    }
+  }
 }
 
 TEST(SemijoinTest, DenseDenseSlice) {
