@@ -1,9 +1,8 @@
 // Concurrent query service bench: the recycler's decisions under the shared
 // pool — hit ratios of a hot and a cold workload, the SQL plan cache, §6.3
 // propagation under a mixed SELECT+DML load, eviction under a fixed byte
-// budget (raw and with encoded intermediates) — plus two within-run
-// ablations (vectorised kernels against the scalar reference, tracing
-// overhead against the untraced run).
+// budget — plus two within-run ablations (vectorised kernels against the
+// scalar reference, tracing overhead against the untraced run).
 //
 //   ./bench_concurrent_throughput            # SF from RDB_TPCH_SF (0.005)
 //   RDB_MAX_WORKERS=16 ./bench_concurrent_throughput  # default 4
@@ -87,9 +86,9 @@ struct JsonRow {
   int workers = 0;
   double hit_ratio = 0;
   /// Workload-determined counters (plan cache, DML pool maintenance,
-  /// budget-forced evictions, encoding savings).
+  /// budget-forced evictions).
   std::vector<std::pair<const char*, uint64_t>> counters;
-  /// Within-run ratios (rel_qps, raw_hit_ratio).
+  /// Within-run ratios (rel_qps).
   std::vector<std::pair<const char*, double>> ratios;
 };
 
@@ -497,94 +496,6 @@ JsonRow RunBoundedMemoryPhase(Catalog* cat,
   return row;
 }
 
-/// Encoded-intermediates bounded-memory ablation: the bounded_memory
-/// workload twice on a private TPC-H copy — once raw, once after
-/// Catalog::BuildEncodings(), whose encoded columns make TakeSide gathers
-/// produce encoded intermediates — under the IDENTICAL 1 MB budget.
-/// Recycled entries are charged at encoded size, so the encoded run fits
-/// more of the working set and must post a strictly higher steady-state hit
-/// ratio (gated within-run by check_regression.py: machine-independent).
-/// The row also carries the end-of-run pool gauge encoding_savings_bytes,
-/// which must be positive or the encoding layer silently stopped producing.
-JsonRow RunBoundedMemoryEncodedPhase(
-    const std::vector<tpch::QueryTemplate>& templates, int workers,
-    int n_queries) {
-  // Private catalog: BuildEncodings attaches sidecars to catalog columns,
-  // which must not leak into the other phases' (raw) measurements.
-  auto cat = MakeTpchDb(BenchSf());
-  Workload w = MakeWorkload("bound", templates, 12, n_queries, 9003);
-
-  struct SubRun {
-    double qps = 0;
-    double hit_ratio = 0;
-    uint64_t evicted = 0;
-    size_t enc_bytes = 0;
-    size_t save_bytes = 0;
-  };
-  auto run = [&](const char* tag) {
-    ServiceConfig cfg = BenchConfig(workers);
-    cfg.recycler.max_bytes = 1024 * 1024;
-    cfg.recycler.eviction = EvictionKind::kLru;
-    QueryService svc(cat.get(), cfg);
-    for (auto& r : svc.RunBatch(w.warmup)) {
-      if (!r.ok()) {
-        std::fprintf(stderr, "bounded/%s warmup failed: %s\n", tag,
-                     r.status().ToString().c_str());
-        std::abort();
-      }
-    }
-    svc.recycler().ResetStats();
-    StopWatch sw;
-    std::vector<Result<QueryResult>> results = svc.RunBatch(w.queries);
-    double secs = sw.ElapsedSeconds();
-    for (auto& r : results) {
-      if (!r.ok()) {
-        std::fprintf(stderr, "bounded/%s query failed: %s\n", tag,
-                     r.status().ToString().c_str());
-        std::abort();
-      }
-    }
-    if (svc.recycler().pool_bytes() > cfg.recycler.max_bytes) {
-      std::fprintf(stderr, "BUDGET VIOLATED (%s): pool %zu > %zu\n", tag,
-                   svc.recycler().pool_bytes(), cfg.recycler.max_bytes);
-      std::abort();
-    }
-    RecyclerStats rs = svc.recycler().stats();
-    SubRun out;
-    out.qps = n_queries / secs;
-    out.hit_ratio = HitRatio(rs);
-    out.evicted = rs.evicted;
-    out.enc_bytes = svc.recycler().pool_encoded_bytes();
-    out.save_bytes = svc.recycler().encoding_savings_bytes();
-    return out;
-  };
-
-  SubRun raw = run("raw");
-  size_t ncols = cat->BuildEncodings();
-  SubRun enc = run("encoded");
-
-  std::printf(
-      "bounded memory, encoded intermediates (%d workers, 1024 KB budget, "
-      "%d queries, %zu cols encoded)\n"
-      "  raw:     qps=%.1f hit-ratio=%.2f evicted=%llu\n"
-      "  encoded: qps=%.1f hit-ratio=%.2f evicted=%llu pool-encoded=%zu KB "
-      "savings=%zu KB\n",
-      workers, n_queries, ncols, raw.qps, raw.hit_ratio,
-      static_cast<unsigned long long>(raw.evicted), enc.qps, enc.hit_ratio,
-      static_cast<unsigned long long>(enc.evicted), enc.enc_bytes / 1024,
-      enc.save_bytes / 1024);
-
-  JsonRow row;
-  row.phase = "bounded_memory";
-  row.load = "encoded";
-  row.workers = workers;
-  row.hit_ratio = enc.hit_ratio;
-  row.counters = {{"evicted", enc.evicted},
-                  {"encoding_savings_bytes", enc.save_bytes}};
-  row.ratios = {{"raw_hit_ratio", raw.hit_ratio}};
-  return row;
-}
-
 // ---------------------------------------------------------------------------
 // Vectorised-kernel ablation: the rewritten engine entry points against the
 // retained element-at-a-time reference loops (engine/scalar_ref.h — the
@@ -885,7 +796,6 @@ int main(int argc, char** argv) {
   rows.push_back(RunPlanCachePhase(cat.get(), workers, 500));
   rows.push_back(RunMixedDmlPhase(workers, 12, 600, metrics_path));
   rows.push_back(RunBoundedMemoryPhase(cat.get(), templates, workers, 1500));
-  rows.push_back(RunBoundedMemoryEncodedPhase(templates, workers, 1500));
   for (JsonRow& r : RunKernelPhases()) rows.push_back(std::move(r));
   for (JsonRow& r :
        RunTraceAblationPhase(cat.get(), templates, workers, 1500))

@@ -26,11 +26,6 @@ to end by perfbench/ instead.
               by a HARD floor (--kernel-rel-floor, default 1.3): the
               vectorised kernels must stay decisively faster than the
               retained scalar loops, whatever the baseline captured.
-  encoded     bounded_memory/encoded row: hit_ratio must be STRICTLY greater
-              than raw_hit_ratio (the identical workload/budget without
-              encodings — charging entries at encoded size must fit more
-              working set), and encoding_savings_bytes must be positive (the
-              encoding layer still produces compressed intermediates).
 
 Usage:
   python3 bench/check_regression.py CURRENT.json bench/baseline/BENCH_concurrent.json
@@ -115,23 +110,6 @@ def check_row(name, key, base, cur, args):
                 f"{base['rel_qps']:.3f} - {args.rel_tolerance} "
                 f"(tracing overhead regressed)")
 
-    # Encoded bounded-memory gates (bounded_memory/encoded row): the hit-ratio
-    # win is the point of recycling compressed intermediates — losing it
-    # means encoded entries stopped being charged at encoded size (or stopped
-    # being admitted); zero savings means the encoder no longer covers the
-    # workload's intermediates.
-    if ("raw_hit_ratio" in base) != ("raw_hit_ratio" in cur):
-        failures.append(missing_field(name, "raw_hit_ratio", cur))
-    elif "raw_hit_ratio" in cur:
-        if cur["hit_ratio"] <= cur["raw_hit_ratio"]:
-            failures.append(
-                f"{name}: encoded hit_ratio {cur['hit_ratio']:.3f} <= raw "
-                f"{cur['raw_hit_ratio']:.3f} under the same budget — "
-                f"encoded intermediates no longer stretch the pool")
-        if cur.get("encoding_savings_bytes", 0) <= 0:
-            failures.append(
-                f"{name}: encoding_savings_bytes is zero — no compressed "
-                f"intermediates reached the pool")
     return failures
 
 

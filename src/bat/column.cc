@@ -34,56 +34,7 @@ Column::Column(TypeTag type, Storage storage)
   mem_bytes_ = std::visit(MemVisitor{}, storage_);
 }
 
-std::shared_ptr<Column> Column::MakeEncoded(TypeTag type, EncodingPtr enc) {
-  auto col = std::make_shared<Column>(type, Storage{});
-  col->encoding_ = std::move(enc);
-  col->native_ = true;
-  col->mem_bytes_ = col->encoding_->MemoryBytes();
-  return col;
-}
-
-void Column::AttachEncoding(EncodingPtr enc) {
-  RDB_CHECK(!native_ && enc != nullptr && enc->size() == size());
-  encoding_ = std::move(enc);
-}
-
-void Column::DecodeSlow() const {
-  std::call_once(decode_once_, [this] {
-    switch (type_) {
-      case TypeTag::kInt:
-      case TypeTag::kDate: {
-        std::vector<int32_t> v;
-        encoding_->DecodeTo(&v);
-        storage_ = std::move(v);
-        break;
-      }
-      case TypeTag::kLng: {
-        std::vector<int64_t> v;
-        encoding_->DecodeTo(&v);
-        storage_ = std::move(v);
-        break;
-      }
-      case TypeTag::kOid: {
-        std::vector<Oid> v;
-        encoding_->DecodeTo(&v);
-        storage_ = std::move(v);
-        break;
-      }
-      case TypeTag::kStr: {
-        std::vector<std::string> v;
-        encoding_->DecodeStrings(&v);
-        storage_ = std::move(v);
-        break;
-      }
-      default:
-        RDB_UNREACHABLE();
-    }
-    decoded_.store(true, std::memory_order_release);
-  });
-}
-
 size_t Column::size() const {
-  if (native_) return encoding_->size();
   return std::visit(SizeVisitor{}, storage_);
 }
 
@@ -111,7 +62,6 @@ Scalar Column::GetScalar(size_t i) const {
 }
 
 void Column::ComputeSorted() {
-  if (native_) DecodeSlow();
   sorted_ = std::visit(
       [](const auto& v) { return std::is_sorted(v.begin(), v.end()); },
       storage_);

@@ -1,13 +1,10 @@
 #ifndef RECYCLEDB_BAT_COLUMN_H_
 #define RECYCLEDB_BAT_COLUMN_H_
 
-#include <atomic>
 #include <memory>
-#include <mutex>
 #include <variant>
 #include <vector>
 
-#include "bat/encoding.h"
 #include "bat/scalar.h"
 #include "bat/types.h"
 
@@ -40,34 +37,13 @@ class Column {
     return std::make_shared<Column>(type, Storage(std::move(v)));
   }
 
-  /// Builds an encoded-native column: the encoding IS the storage and raw
-  /// values materialise lazily on the first Data() access (thread-safe).
-  /// MemoryBytes() reports the encoded size and stays stable across the
-  /// decode, so pool byte attribution never shifts under a live entry.
-  static std::shared_ptr<Column> MakeEncoded(TypeTag type, EncodingPtr enc);
-
   TypeTag type() const { return type_; }
   size_t size() const;
 
   template <typename T>
   const std::vector<T>& Data() const {
-    if (native_ && !decoded_.load(std::memory_order_acquire)) DecodeSlow();
     return std::get<std::vector<T>>(storage_);
   }
-
-  /// The attached encoding, or null. Kernels probe this for compressed
-  /// fast paths (code-space range selects, per-dictionary-value LIKE).
-  const ColumnEncoding* encoding() const { return encoding_.get(); }
-  const EncodingPtr& shared_encoding() const { return encoding_; }
-
-  /// True when the encoding is the only materialised representation (raw
-  /// storage decodes lazily); false for raw columns and for persistent
-  /// columns that merely carry an encoding sidecar.
-  bool encoded_native() const { return native_; }
-
-  /// Attaches an encoding sidecar to a raw column (Catalog::BuildEncodings).
-  /// Pre-serving only: callers must guarantee no concurrent readers.
-  void AttachEncoding(EncodingPtr enc);
 
   /// Ascending-sorted property (nils, if any, must lead).
   bool sorted() const { return sorted_; }
@@ -92,17 +68,8 @@ class Column {
   void ComputeSorted();
 
  private:
-  /// Lazy decode of an encoded-native column into raw storage; runs at most
-  /// once, and publishes via `decoded_` (release) so concurrent Data()
-  /// readers either take the call_once or see the finished storage.
-  void DecodeSlow() const;
-
   TypeTag type_;
-  mutable Storage storage_;
-  EncodingPtr encoding_;
-  bool native_ = false;
-  mutable std::atomic<bool> decoded_{false};
-  mutable std::once_flag decode_once_;
+  Storage storage_;
   bool sorted_ = false;
   bool key_ = false;
   bool persistent_ = false;

@@ -712,43 +712,4 @@ size_t Catalog::TotalPersistentBytes() const {
   return bytes;
 }
 
-size_t Catalog::BuildEncodings() {
-  size_t encoded = 0;
-  auto try_attach = [&encoded](const ColumnPtr& col) {
-    if (!col || col->encoding() != nullptr || col->encoded_native()) return;
-    EncodingPtr enc;
-    switch (col->type()) {
-      case TypeTag::kInt:
-      case TypeTag::kDate:
-        enc = ColumnEncoding::TryFor<int32_t>(col->Data<int32_t>());
-        break;
-      case TypeTag::kLng:
-        enc = ColumnEncoding::TryFor<int64_t>(col->Data<int64_t>());
-        break;
-      case TypeTag::kOid:
-        enc = ColumnEncoding::TryFor<Oid>(col->Data<Oid>());
-        break;
-      case TypeTag::kStr:
-        enc = ColumnEncoding::TryDict(col->Data<std::string>());
-        break;
-      default:
-        break;
-    }
-    if (enc) {
-      // Columns are logically immutable snapshots; attaching a sidecar is
-      // metadata-only (the raw data is untouched), so the const_cast is an
-      // init-time exception, serialised like DDL.
-      const_cast<Column*>(col.get())->AttachEncoding(std::move(enc));
-      ++encoded;
-    }
-  };
-  for (const auto& t : tables_) {
-    if (!t) continue;
-    for (size_t ci = 0; ci < t->num_columns(); ++ci) try_attach(t->column(ci));
-  }
-  for (const auto& idx : indices_) try_attach(idx.map);
-  if (encoded > 0) has_encodings_ = true;
-  return encoded;
-}
-
 }  // namespace recycledb

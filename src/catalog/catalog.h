@@ -283,24 +283,6 @@ class Catalog {
 
   size_t TotalPersistentBytes() const;
 
-  /// Attaches compressed sidecars to the loaded persistent columns:
-  /// frame-of-reference for integer/date/oid columns, dictionary for string
-  /// columns, where profitable. The raw vectors stay in place, so binds and
-  /// results are unchanged; the vectorised kernels scan the codes, and
-  /// engine::TakeSide gathers out of an encoded column stay in code space,
-  /// so those intermediates are charged to the recycler at their encoded
-  /// size. Serving-time only: call after bulk load and before queries run,
-  /// under the same external serialisation as DDL (encodings are not
-  /// maintained across commits; columns replaced by a delta merge simply
-  /// lose their sidecar). Returns the number of columns that got an
-  /// encoding.
-  size_t BuildEncodings();
-
-  /// Whether BuildEncodings encoded any column. Queries over such a catalog
-  /// also FOR-encode the oid lists they gather out of dense sides
-  /// (engine::EncodedGatherScope, opened by Interpreter::Run).
-  bool has_encodings() const { return has_encodings_; }
-
  private:
   struct FkIndex {
     std::string name;
@@ -339,7 +321,6 @@ class Catalog {
   std::map<std::string, int32_t> table_by_name_;
   std::vector<FkIndex> indices_;
   std::map<std::string, int> index_by_name_;
-  bool has_encodings_ = false;  // set by BuildEncodings, before queries run
   /// Per-table history of delete-carrying commits (bounded to
   /// kCommitHistoryCap entries, oldest pruned), plus the epoch floor below
   /// which history is no longer retained — a write set with deletes that

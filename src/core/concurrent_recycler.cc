@@ -382,24 +382,6 @@ size_t ConcurrentRecycler::pool_bytes() const {
   return n;
 }
 
-size_t ConcurrentRecycler::pool_encoded_bytes() const {
-  size_t n = 0;
-  for (auto& s : stripes_) {
-    std::shared_lock lock(s->mu);
-    n += s->core->pool().encoded_bytes();
-  }
-  return n;
-}
-
-size_t ConcurrentRecycler::encoding_savings_bytes() const {
-  size_t n = 0;
-  for (auto& s : stripes_) {
-    std::shared_lock lock(s->mu);
-    n += s->core->pool().encoding_savings_bytes();
-  }
-  return n;
-}
-
 std::string ConcurrentRecycler::DumpPool(size_t max_entries) const {
   std::ostringstream os;
   os << StrFormat("striped recycle pool: %zu stripes, %zu entries, %.2f MB\n",

@@ -156,11 +156,6 @@ class ConcurrentRecycler {
   RecyclerStats stats() const;
   size_t pool_entries() const;
   size_t pool_bytes() const;
-  /// Compressed-intermediate accounting, summed over the stripes: bytes of
-  /// the pool charge held in encoded columns, and bytes the encodings save
-  /// versus raw. Zero unless encoded intermediates are enabled.
-  size_t pool_encoded_bytes() const;
-  size_t encoding_savings_bytes() const;
   std::string DumpPool(size_t max_entries = 24) const;
   const RecyclerConfig& config() const { return cfg_; }
 

@@ -113,17 +113,8 @@ void RecyclePool::IndexEntry(PoolEntry* e) {
     auto it = shared_->col_track.find(c);
     if (it == shared_->col_track.end()) {
       size_t bytes = c->MemoryBytes();
-      PoolSharedState::ColTrack track{e, this, 1, bytes};
-      if (c->encoded_native()) {
-        // The column entered the pool compressed: `bytes` is already the
-        // encoded size. Record it plus what the encoding saved over raw.
-        track.enc_bytes = bytes;
-        size_t raw = c->encoding()->RawBytes();
-        track.save_bytes = raw > bytes ? raw - bytes : 0;
-        encoded_bytes_.fetch_add(track.enc_bytes, std::memory_order_relaxed);
-        savings_bytes_.fetch_add(track.save_bytes, std::memory_order_relaxed);
-      }
-      shared_->col_track.emplace(c, track);
+      shared_->col_track.emplace(
+          c, PoolSharedState::ColTrack{e, this, 1, bytes});
       e->owned_bytes += bytes;
       total_bytes_.fetch_add(bytes, std::memory_order_relaxed);
     } else {
@@ -184,12 +175,6 @@ void RecyclePool::UnindexEntry(PoolEntry* e) {
       RecyclePool* owner_pool = it->second.owner_pool;
       owner_pool->total_bytes_.fetch_sub(it->second.bytes,
                                          std::memory_order_relaxed);
-      if (it->second.enc_bytes != 0)
-        owner_pool->encoded_bytes_.fetch_sub(it->second.enc_bytes,
-                                             std::memory_order_relaxed);
-      if (it->second.save_bytes != 0)
-        owner_pool->savings_bytes_.fetch_sub(it->second.save_bytes,
-                                             std::memory_order_relaxed);
       shared_->col_track.erase(it);
     } else if (it->second.owner == e) {
       // The owner dies while borrowers remain: keep the attribution target

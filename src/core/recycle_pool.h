@@ -172,12 +172,6 @@ struct PoolSharedState {
     RecyclePool* owner_pool;  ///< byte-attribution target (survives owner)
     int refs;
     size_t bytes;
-    /// Compressed-intermediate attribution: for an encoded-native column,
-    /// `bytes` IS the encoded size (that is what the pool is charged), and
-    /// `save_bytes` is how much smaller it is than the raw representation
-    /// would have been. Zero for raw columns.
-    size_t enc_bytes = 0;
-    size_t save_bytes = 0;
   };
   std::mutex mu;
   std::unordered_map<const Column*, ColTrack> col_track;
@@ -260,16 +254,6 @@ class RecyclePool {
   size_t total_bytes() const {
     return total_bytes_.load(std::memory_order_relaxed);
   }
-  /// Bytes of this pool's charge held in compressed (encoded-native)
-  /// columns, and the bytes the encodings save versus the raw
-  /// representation of the same intermediates. Both are subsets/companions
-  /// of total_bytes(), attributed to the introducing pool the same way.
-  size_t encoded_bytes() const {
-    return encoded_bytes_.load(std::memory_order_relaxed);
-  }
-  size_t encoding_savings_bytes() const {
-    return savings_bytes_.load(std::memory_order_relaxed);
-  }
 
   /// Live entries, unordered. Pointers valid until the next mutation.
   std::vector<PoolEntry*> Entries();
@@ -316,8 +300,6 @@ class RecyclePool {
   /// Mutated only under shared_->mu; atomic so introspection from any
   /// thread holding this pool's (stripe) lock reads a torn-free value.
   std::atomic<size_t> total_bytes_{0};
-  std::atomic<size_t> encoded_bytes_{0};
-  std::atomic<size_t> savings_bytes_{0};
   uint64_t next_id_ = 1;
 };
 

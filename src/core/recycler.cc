@@ -193,13 +193,16 @@ bool Recycler::OnEntryCtx(const QueryCtx& ctx, const InstrView& instr,
   // The modified instruction's result enters the pool under the prevailing
   // admission policy (§5.1), and the subset lattice learns the new edges:
   // both result ⊆ column-operand (via AdmitResult) and result ⊆ source
-  // intermediate, which later enables semijoin subsumption (W ⊂ V).
+  // intermediate, which later enables semijoin subsumption (W ⊂ V). A
+  // combined result (§5.2) is a subset of the union of its sources only,
+  // not of each one, so it gains no source edge.
   // Capture the source bat ids first: AdmitResult may evict the source
   // entries (bounded pool, §4.3 all-leaves-protected fallback), and the
   // lattice keys on bat ids, not entries.
   std::vector<uint64_t> source_bats;
   for (PoolEntry* src : outcome->sources) {
-    if (!src->results.empty() && src->results[0].is_bat())
+    if (!outcome->combined && !src->results.empty() &&
+        src->results[0].is_bat())
       source_bats.push_back(src->results[0].bat()->id());
   }
   AdmitResult(ctx, instr, outcome->results, subsumed_exec_ms, deps,

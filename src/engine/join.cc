@@ -4,7 +4,6 @@
 #include "engine/operators.h"
 #include "engine/vec/bitmap.h"
 #include "engine/vec/hashprobe.h"
-#include "engine/vec/select.h"
 
 namespace recycledb::engine {
 
@@ -34,39 +33,6 @@ Result<BatPtr> PositionalJoin(const BatPtr& l, const BatPtr& r) {
     size_t loff = from - lo, roff = from - rlo, len = to - from;
     return Bat::Make(SliceSide(l->head(), loff, len),
                      SliceSide(r->tail(), roff, len), len);
-  }
-
-  if (const ColumnEncoding* enc = ltail.col->encoding();
-      enc != nullptr && enc->kind() == ColumnEncoding::Kind::kFor) {
-    // FOR-encoded oid tail: the window test [seq, seq+rn) translates to an
-    // inclusive code range, and the r position is code + (base - seq) —
-    // the whole probe runs over the narrow codes without decoding.
-    return enc->VisitCodes([&](const auto& codes) -> Result<BatPtr> {
-      using C = typename std::decay_t<decltype(codes)>::value_type;
-      const C* cd = codes.data() + ltail.offset;
-      const __int128 base =
-          static_cast<__int128>(static_cast<uint64_t>(enc->base()));
-      const __int128 max_code = ColumnEncoding::NilCode<C>() - 1;
-      __int128 cl = static_cast<__int128>(seq) - base;
-      __int128 ch = static_cast<__int128>(seq) + static_cast<__int128>(rn) -
-                    1 - base;
-      if (cl < 0) cl = 0;
-      if (ch > max_code) ch = max_code;
-      std::vector<uint64_t> bits(vec::BitmapWords(ln), 0);
-      if (cl <= ch)
-        vec::CodeRangeBits(cd, ln, static_cast<C>(cl), static_cast<C>(ch),
-                           bits.data());
-      SelVector sel_l;
-      vec::BitsToSel(bits.data(), ln, &sel_l);
-      SelVector pos_r;
-      pos_r.reserve(sel_l.size());
-      const int64_t delta = static_cast<int64_t>(base - seq);
-      for (uint32_t i : sel_l)
-        pos_r.push_back(static_cast<uint32_t>(
-            static_cast<int64_t>(cd[i]) + delta));
-      return Bat::Make(TakeSide(l->head(), ln, sel_l),
-                       TakeSide(r->tail(), rn, pos_r), sel_l.size());
-    });
   }
 
   // Branch-free compaction: every pair is written, and only a non-nil value
@@ -204,8 +170,7 @@ Result<BatPtr> Semijoin(const BatPtr& l, const BatPtr& r) {
     return Bat::Make(SliceSide(l->head(), off, len),
                      SliceSide(l->tail(), off, len), len);
   }
-  if (l->head().dense() && r->head().col->encoding() == nullptr)
-    return DenseSemijoin(l, r);
+  if (l->head().dense()) return DenseSemijoin(l, r);
 
   return VisitPhysical(rt, [&](auto tag) -> Result<BatPtr> {
     using T = typename decltype(tag)::type;

@@ -6,9 +6,6 @@ namespace recycledb::engine {
 
 namespace {
 
-/// Set by EncodedGatherScope for the thread's current program run.
-thread_local bool t_encode_dense_gathers = false;
-
 bool IncreasingSel(const SelVector& sel) {
   for (size_t k = 1; k < sel.size(); ++k) {
     if (sel[k] <= sel[k - 1]) return false;
@@ -18,13 +15,6 @@ bool IncreasingSel(const SelVector& sel) {
 
 }  // namespace
 
-EncodedGatherScope::EncodedGatherScope(bool on)
-    : prev_(t_encode_dense_gathers) {
-  t_encode_dense_gathers = on;
-}
-
-EncodedGatherScope::~EncodedGatherScope() { t_encode_dense_gathers = prev_; }
-
 BatSide TakeSide(const BatSide& side, size_t count, const SelVector& sel) {
   (void)count;
   if (side.dense()) {
@@ -33,32 +23,12 @@ BatSide TakeSide(const BatSide& side, size_t count, const SelVector& sel) {
     for (uint32_t i : sel) out.push_back(side.seq + i);
     // A gather from a dense sequence at increasing positions stays sorted.
     bool increasing = IncreasingSel(sel);
-    if (t_encode_dense_gathers) {
-      // Compress the fresh oid run: dense-derived gathers are the dominant
-      // intermediate shape, and FOR usually narrows them to u16/u32 codes.
-      if (EncodingPtr enc = ColumnEncoding::TryFor<Oid>(out)) {
-        auto col = Column::MakeEncoded(TypeTag::kOid, std::move(enc));
-        col->set_sorted(increasing);
-        col->set_key(increasing);
-        return BatSide::Materialized(std::move(col));
-      }
-    }
     auto col = Column::Make(TypeTag::kOid, std::move(out));
     col->set_sorted(increasing);
     col->set_key(increasing);
     return BatSide::Materialized(std::move(col));
   }
   TypeTag t = side.type;
-  // An encoded source gathers in code space: the result column carries the
-  // (shared-dict or same-base) encoding and is charged to the recycler at
-  // encoded size; downstream kernels consume the codes without decompressing.
-  if (EncodingPtr enc = side.col->shared_encoding()) {
-    if (EncodingPtr g = ColumnEncoding::Gather(*enc, side.offset, sel)) {
-      auto col = Column::MakeEncoded(t, std::move(g));
-      if (side.col->sorted() && IncreasingSel(sel)) col->set_sorted(true);
-      return BatSide::Materialized(std::move(col));
-    }
-  }
   return VisitPhysical(t, [&](auto tag) -> BatSide {
     using T = typename decltype(tag)::type;
     const T* src = side.col->Data<T>().data() + side.offset;
@@ -66,16 +36,7 @@ BatSide TakeSide(const BatSide& side, size_t count, const SelVector& sel) {
     out.reserve(sel.size());
     for (uint32_t i : sel) out.push_back(src[i]);
     auto col = Column::Make(t, std::move(out));
-    if (side.col->sorted()) {
-      bool increasing = true;
-      for (size_t k = 1; k < sel.size(); ++k) {
-        if (sel[k] <= sel[k - 1]) {
-          increasing = false;
-          break;
-        }
-      }
-      col->set_sorted(increasing);
-    }
+    if (side.col->sorted()) col->set_sorted(IncreasingSel(sel));
     return BatSide::Materialized(std::move(col));
   });
 }

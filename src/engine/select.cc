@@ -82,70 +82,6 @@ BatPtr ScanRangeSelect(const BatPtr& b, bool has_lo, const T& lov, bool has_hi,
   return GatherBits(b, bits);
 }
 
-/// Compressed range select over a FOR-encoded tail: the bounds translate
-/// into code space once, then the (narrow, unsigned) codes are scanned
-/// directly — no decode. The reserved nil code sits above every valid code
-/// bound, so nils are excluded for free.
-template <typename T>
-BatPtr ForRangeSelect(const BatPtr& b, const ColumnEncoding& enc, bool has_lo,
-                      const T& lov, bool has_hi, const T& hiv, bool lo_inc,
-                      bool hi_inc) {
-  const BatSide& tail = b->tail();
-  size_t n = b->size();
-  auto widen = [](const T& v) -> __int128 {
-    if constexpr (std::is_signed_v<T>) return static_cast<__int128>(v);
-    else return static_cast<__int128>(static_cast<uint64_t>(v));
-  };
-  __int128 base;
-  if constexpr (std::is_signed_v<T>) {
-    base = static_cast<__int128>(enc.base());
-  } else {
-    base = static_cast<__int128>(static_cast<uint64_t>(enc.base()));
-  }
-  return enc.VisitCodes([&](const auto& codes) -> BatPtr {
-    using C = typename std::decay_t<decltype(codes)>::value_type;
-    const C* cd = codes.data() + tail.offset;
-    const __int128 max_code = ColumnEncoding::NilCode<C>() - 1;
-    __int128 cl = 0, ch = max_code;
-    if (has_lo) cl = widen(lov) + (lo_inc ? 0 : 1) - base;
-    if (has_hi) ch = widen(hiv) - (hi_inc ? 0 : 1) - base;
-    if (cl < 0) cl = 0;
-    if (ch > max_code) ch = max_code;
-    std::vector<uint64_t> bits(vec::BitmapWords(n), 0);
-    if (cl <= ch) {
-      vec::CodeRangeBits(cd, n, static_cast<C>(cl), static_cast<C>(ch),
-                         bits.data());
-    }
-    return GatherBits(b, bits);
-  });
-}
-
-/// Compressed range select over a dictionary-encoded string tail: the
-/// bounds are evaluated once per distinct dictionary value, then mapped
-/// over the codes.
-BatPtr DictRangeSelect(const BatPtr& b, const ColumnEncoding& enc,
-                       bool has_lo, const std::string& lov, bool has_hi,
-                       const std::string& hiv, bool lo_inc, bool hi_inc) {
-  const BatSide& tail = b->tail();
-  size_t n = b->size();
-  const std::vector<std::string>& dict = enc.dict();
-  std::vector<uint8_t> flags(dict.size());
-  for (size_t k = 0; k < dict.size(); ++k) {
-    const std::string& s = dict[k];
-    bool ok = !s.empty();
-    if (ok && has_lo) ok = lo_inc ? !(s < lov) : (lov < s);
-    if (ok && has_hi) ok = hi_inc ? !(hiv < s) : (s < hiv);
-    flags[k] = ok ? 1 : 0;
-  }
-  return enc.VisitCodes([&](const auto& codes) -> BatPtr {
-    using C = typename std::decay_t<decltype(codes)>::value_type;
-    const C* cd = codes.data() + tail.offset;
-    std::vector<uint64_t> bits(vec::BitmapWords(n));
-    vec::DictFlagBits(cd, n, flags.data(), bits.data());
-    return GatherBits(b, bits);
-  });
-}
-
 }  // namespace
 
 Result<BatPtr> Select(const BatPtr& b, const Scalar& lo, const Scalar& hi,
@@ -190,17 +126,6 @@ Result<BatPtr> Select(const BatPtr& b, const Scalar& lo, const Scalar& hi,
     T hiv = has_hi ? hi.Get<T>() : T{};
     if (tail.col->sorted()) {
       return SortedRangeSelect<T>(b, has_lo, lov, has_hi, hiv, lo_inc, hi_inc);
-    }
-    if (const ColumnEncoding* enc = tail.col->encoding()) {
-      if constexpr (std::is_same_v<T, std::string>) {
-        if (enc->kind() == ColumnEncoding::Kind::kDict)
-          return DictRangeSelect(b, *enc, has_lo, lov, has_hi, hiv, lo_inc,
-                                 hi_inc);
-      } else if constexpr (std::is_integral_v<T> && sizeof(T) > 1) {
-        if (enc->kind() == ColumnEncoding::Kind::kFor)
-          return ForRangeSelect<T>(b, *enc, has_lo, lov, has_hi, hiv, lo_inc,
-                                   hi_inc);
-      }
     }
     return ScanRangeSelect<T>(b, has_lo, lov, has_hi, hiv, lo_inc, hi_inc);
   });
@@ -251,25 +176,6 @@ Result<BatPtr> LikeSelect(const BatPtr& b, const std::string& pattern) {
   // Satellite of the vectorised rewrite: the pattern is preprocessed ONCE
   // per call (shape classification + literal extraction), not per row.
   LikePattern pat(pattern);
-  if (const ColumnEncoding* enc = tail.col->encoding();
-      enc != nullptr && enc->kind() == ColumnEncoding::Kind::kDict) {
-    // Dictionary path: the pattern runs once per distinct value, then the
-    // verdicts map over the codes without touching any string data.
-    const std::vector<std::string>& dict = enc->dict();
-    std::vector<uint8_t> flags(dict.size());
-    for (size_t k = 0; k < dict.size(); ++k)
-      flags[k] = (!dict[k].empty() && pat.Match(dict[k])) ? 1 : 0;
-    return enc->VisitCodes([&](const auto& codes) -> Result<BatPtr> {
-      using C = typename std::decay_t<decltype(codes)>::value_type;
-      const C* cd = codes.data() + tail.offset;
-      std::vector<uint64_t> bits(vec::BitmapWords(n));
-      vec::DictFlagBits(cd, n, flags.data(), bits.data());
-      SelVector sel;
-      vec::BitsToSel(bits.data(), n, &sel);
-      return Bat::Make(TakeSide(b->head(), n, sel), TakeSide(tail, n, sel),
-                       sel.size());
-    });
-  }
   const std::string* data = tail.col->Data<std::string>().data() + tail.offset;
   std::vector<uint64_t> bits(vec::BitmapWords(n));
   vec::PredBits(data, n, bits.data(), [&](const std::string& s) -> bool {

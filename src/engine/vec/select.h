@@ -42,28 +42,6 @@ inline void RangeBits(const T* d, size_t n, bool has_lo, const T& lo,
   }
 }
 
-/// Unsigned code-space range scan for FOR-encoded columns: a code
-/// qualifies iff clo <= c <= chi. The reserved nil code is excluded by
-/// construction (callers cap chi below it), so the loop is a pure
-/// two-comparison mask over narrow codes.
-template <typename C>
-inline void CodeRangeBits(const C* codes, size_t n, C clo, C chi,
-                          uint64_t* bits) {
-  PredBits(codes, n, bits, [=](const C& c) -> bool {
-    return !(c < clo) & !(chi < c);
-  });
-}
-
-/// Bitmap of rows whose code's dictionary entry qualified: `flags[c]` is
-/// the per-distinct-value predicate result, computed once per dictionary
-/// entry and mapped over the codes here.
-template <typename C>
-inline void DictFlagBits(const C* codes, size_t n, const uint8_t* flags,
-                         uint64_t* bits) {
-  PredBits(codes, n, bits,
-           [=](const C& c) -> bool { return flags[c] != 0; });
-}
-
 /// Rows not equal to `key` and not nil (the AntiUselect predicate).
 template <typename T>
 inline void NotEqBits(const T* d, size_t n, const T& key, uint64_t* bits) {

@@ -272,7 +272,6 @@ Result<QueryResult> Interpreter::Run(const Program& prog,
     return Status::InvalidArgument("parameter count mismatch");
   StopWatch total;
   last_run_ = RunStats();
-  engine::EncodedGatherScope encoded_gathers(catalog_->has_encodings());
 
   std::vector<MalValue> stack(prog.vars.size());
   std::vector<std::vector<ColumnId>> deps(prog.vars.size());

@@ -102,10 +102,6 @@ QueryService::QueryService(Catalog* catalog, ServiceConfig cfg)
   metrics_.AddGaugeFn("pool_entries",
                       [this] { return recycler_.pool_entries(); });
   metrics_.AddGaugeFn("pool_bytes", [this] { return recycler_.pool_bytes(); });
-  metrics_.AddGaugeFn("pool_encoded_bytes",
-                      [this] { return recycler_.pool_encoded_bytes(); });
-  metrics_.AddGaugeFn("encoding_savings_bytes",
-                      [this] { return recycler_.encoding_savings_bytes(); });
   metrics_.AddGaugeFn("plan_cache_plans",
                       [this] { return plan_cache_.size(); });
   metrics_.AddGaugeFn("plan_cache_bytes",
@@ -722,8 +718,6 @@ ServiceStats QueryService::SnapshotStats() const {
   s.snapshot_epoch = catalog_->epoch();
   s.epoch_pins = c_epoch_pins_->value();
   s.stale_entry_refreshes = c_stale_refreshes_->value();
-  s.pool_encoded_bytes = recycler_.pool_encoded_bytes();
-  s.encoding_savings_bytes = recycler_.encoding_savings_bytes();
   return s;
 }
 

@@ -101,11 +101,6 @@ struct ServiceStats {
   /// Admissions declined because the producing query's snapshot was older
   /// than a dependency's current epoch (RecyclerStats::stale_declines).
   uint64_t pool_stale_declines = 0;
-  /// Compressed-intermediate gauges (zero unless encoded intermediates are
-  /// enabled): bytes of the live pool charge held in encoded columns, and
-  /// the bytes those encodings save versus the raw representation.
-  uint64_t pool_encoded_bytes = 0;
-  uint64_t encoding_savings_bytes = 0;
 };
 
 /// One query of a synchronous batch.

@@ -37,6 +37,28 @@ TEST(JoinTest, PositionalFetchJoin) {
   EXPECT_EQ(j->TailAt(1), Scalar::Int(10));
   EXPECT_EQ(j->TailAt(2), Scalar::Int(40));
   EXPECT_EQ(j->HeadAt(0), Scalar::OidVal(0));
+
+  // A sorted r tail gathered at the non-increasing positions is unsorted.
+  auto sorted_tail =
+      Column::Make(TypeTag::kInt, std::vector<int32_t>{10, 20, 30, 40});
+  sorted_tail->set_sorted(true);
+  auto s = Join(l, Bat::DenseHead(sorted_tail)).ValueOrDie();
+  ASSERT_EQ(s->size(), 3u);
+  EXPECT_EQ(s->TailAt(0), Scalar::Int(30));
+  EXPECT_EQ(s->TailAt(1), Scalar::Int(10));
+  EXPECT_EQ(s->TailAt(2), Scalar::Int(40));
+  EXPECT_FALSE(s->tail().col->sorted());
+
+  // Over a dense r tail the same positions gather oids: neither sorted nor
+  // flagged key.
+  auto d = Join(l, Bat::DenseDense(0, 100, 4)).ValueOrDie();
+  ASSERT_EQ(d->size(), 3u);
+  EXPECT_EQ(d->TailAt(0), Scalar::OidVal(102));
+  EXPECT_EQ(d->TailAt(1), Scalar::OidVal(100));
+  EXPECT_EQ(d->TailAt(2), Scalar::OidVal(103));
+  ASSERT_FALSE(d->tail().dense());
+  EXPECT_FALSE(d->tail().col->sorted());
+  EXPECT_FALSE(d->tail().col->key());
 }
 
 TEST(JoinTest, PositionalOutOfRangeDropped) {

@@ -234,6 +234,48 @@ TEST(CombinedSubsumptionTest, ThreeWayCover) {
   EXPECT_EQ(got.Find("sum")->scalar(), expect.Find("sum")->scalar());
 }
 
+TEST(CombinedSubsumptionTest, SemijoinOverCombinedResultKeepsEveryPiece) {
+  // A combined select result is a subset of the union of its pieces, not
+  // of each piece: a later semijoin over it must not be answered from the
+  // cached semijoin over one piece.
+  auto cat = std::make_unique<Catalog>();
+  cat->CreateTable("x", {{"k", TypeTag::kOid}});
+  cat->CreateTable("y", {{"k", TypeTag::kOid}, {"d", TypeTag::kInt}});
+  Rng rng(17);
+  std::vector<Oid> xk(4000), yk(2000);
+  std::vector<int32_t> yd(2000);
+  for (auto& k : xk) k = rng.Uniform(2000);
+  for (int i = 0; i < 2000; ++i) {
+    yk[i] = i;
+    yd[i] = static_cast<int32_t>(rng.UniformRange(0, 1000));
+  }
+  ASSERT_TRUE(cat->LoadColumn<Oid>("x", "k", std::move(xk)).ok());
+  ASSERT_TRUE(cat->LoadColumn<Oid>("y", "k", std::move(yk), true, true).ok());
+  ASSERT_TRUE(cat->LoadColumn<int32_t>("y", "d", std::move(yd)).ok());
+
+  PlanBuilder b("semi");
+  int lo = b.Param("A0");
+  int hi = b.Param("A1");
+  int dsel = b.Select(b.Bind("y", "d"), lo, hi, true, true);
+  int semi = b.Semijoin(b.Reverse(b.Bind("x", "k")), dsel);
+  b.ExportValue(b.AggrCount(semi), "n");
+  Program p = b.Build();
+  MarkForRecycling(&p);
+
+  Recycler rec;
+  Interpreter interp(cat.get(), &rec);
+  Interpreter plain(cat.get());
+  // Two overlapping pieces, each cached with its semijoin.
+  ASSERT_TRUE(interp.Run(p, {Scalar::Int(100), Scalar::Int(300)}).ok());
+  ASSERT_TRUE(interp.Run(p, {Scalar::Int(250), Scalar::Int(450)}).ok());
+  uint64_t ch0 = rec.stats().combined_hits;
+  // Only the union of the pieces covers [150, 400].
+  auto got = interp.Run(p, {Scalar::Int(150), Scalar::Int(400)}).ValueOrDie();
+  EXPECT_GT(rec.stats().combined_hits, ch0);
+  auto expect = plain.Run(p, {Scalar::Int(150), Scalar::Int(400)}).ValueOrDie();
+  EXPECT_EQ(got.Find("n")->scalar(), expect.Find("n")->scalar());
+}
+
 TEST(CombinedSubsumptionTest, RejectedWhenCostExceedsBase) {
   // Covering intermediates that are nearly as large as the base column must
   // not be combined (the §5.2 cost model: C(S) < C(A)).

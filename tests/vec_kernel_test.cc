@@ -2,8 +2,7 @@
 // Select/LikeSelect/Join/GroupedAggr) must produce byte-identical output to
 // the retained element-at-a-time reference loops (engine/scalar_ref.h) on
 // randomised sweeps — including in-band nils, duplicate join keys (emission
-// order matters), the key-flagged unique-inner probe, and the encoded
-// (compression-aware) fast paths against the same data raw.
+// order matters) and the key-flagged unique-inner probe.
 
 #include <gtest/gtest.h>
 
@@ -11,7 +10,6 @@
 #include <vector>
 
 #include "bat/column.h"
-#include "bat/encoding.h"
 #include "engine/operators.h"
 #include "engine/scalar_ref.h"
 #include "util/rng.h"
@@ -276,95 +274,6 @@ TEST(VecKernelParityTest, GroupedAggrDoubleValues) {
         engine::scalar_ref::GroupedAggr(fn, vb, mb, ngroups).ValueOrDie();
     ExpectSameBat(vec, ref, "grouped dbl aggr fn=" + std::to_string(int(fn)));
   }
-}
-
-// --- encoded (compression-aware) fast paths ---------------------------------
-
-/// Same data twice: raw, and with a FOR/dict sidecar attached. Every
-/// operator must give identical answers on both.
-TEST(VecKernelParityTest, EncodedSelectMatchesRaw) {
-  Rng rng(209);
-  std::vector<int32_t> vals(3000);
-  for (auto& v : vals) {
-    v = rng.Uniform(16) == 0 ? NilOf<int32_t>()
-                             : static_cast<int32_t>(rng.Uniform(200)) + 7000;
-  }
-  auto raw_col = Column::Make(TypeTag::kInt, std::vector<int32_t>(vals));
-  auto enc_col = Column::Make(TypeTag::kInt, std::move(vals));
-  auto enc = ColumnEncoding::TryFor<int32_t>(enc_col->Data<int32_t>());
-  ASSERT_NE(enc, nullptr) << "test data must be FOR-encodable";
-  enc_col->AttachEncoding(enc);
-  BatPtr raw = Bat::DenseHead(raw_col);
-  BatPtr encb = Bat::DenseHead(enc_col);
-  struct Bounds {
-    Scalar lo, hi;
-  };
-  // Bounds straddling, inside, and outside the encoded domain [7000, 7199].
-  std::vector<Bounds> sweeps{
-      {Scalar::Int(7050), Scalar::Int(7080)},
-      {Scalar::Int(0), Scalar::Int(7010)},
-      {Scalar::Int(7190), Scalar::Int(99999)},
-      {Scalar::Int(0), Scalar::Int(100)},
-      {Scalar::Nil(TypeTag::kInt), Scalar::Int(7100)},
-  };
-  for (const Bounds& s : sweeps) {
-    for (bool inc : {true, false}) {
-      auto a = engine::Select(encb, s.lo, s.hi, inc, inc).ValueOrDie();
-      auto b = engine::Select(raw, s.lo, s.hi, inc, inc).ValueOrDie();
-      ExpectSameBat(a, b, "encoded select " + s.lo.ToString());
-    }
-  }
-  auto ua = engine::Uselect(encb, Scalar::Int(7055)).ValueOrDie();
-  auto ub = engine::Uselect(raw, Scalar::Int(7055)).ValueOrDie();
-  ExpectSameBat(ua, ub, "encoded uselect");
-}
-
-TEST(VecKernelParityTest, EncodedLikeMatchesRaw) {
-  Rng rng(210);
-  std::vector<std::string> words{"PROMO ANODIZED", "PROMO BURNISHED",
-                                 "STANDARD BRASS", "SMALL PLATED",
-                                 "MEDIUM POLISHED"};
-  std::vector<std::string> vals;
-  for (int i = 0; i < 2500; ++i) vals.push_back(words[rng.Uniform(5)]);
-  auto raw_col = Column::Make(TypeTag::kStr, std::vector<std::string>(vals));
-  auto enc_col = Column::Make(TypeTag::kStr, std::move(vals));
-  auto enc = ColumnEncoding::TryDict(enc_col->Data<std::string>());
-  ASSERT_NE(enc, nullptr);
-  enc_col->AttachEncoding(enc);
-  BatPtr raw = Bat::DenseHead(raw_col);
-  BatPtr encb = Bat::DenseHead(enc_col);
-  for (const char* pat : {"PROMO%", "%BRASS", "%L%", "STANDARD BRASS", "x%"}) {
-    auto a = engine::LikeSelect(encb, pat).ValueOrDie();
-    auto b = engine::LikeSelect(raw, pat).ValueOrDie();
-    ExpectSameBat(a, b, std::string("encoded like '") + pat + "'");
-  }
-}
-
-/// An encoding sidecar must never change answers, only the physical
-/// representation of gathered intermediates.
-TEST(VecKernelParityTest, EncodedIntermediatesPreserveResults) {
-  Rng rng(211);
-  std::vector<int32_t> vals(2000);
-  for (auto& v : vals)
-    v = static_cast<int32_t>(rng.Uniform(250)) + 100;
-  auto raw_col = Column::Make(TypeTag::kInt, std::vector<int32_t>(vals));
-  auto col = Column::Make(TypeTag::kInt, std::move(vals));
-  col->AttachEncoding(ColumnEncoding::TryFor<int32_t>(col->Data<int32_t>()));
-  ASSERT_NE(col->encoding(), nullptr);
-  ASSERT_EQ(raw_col->encoding(), nullptr);
-
-  auto run = [](const BatPtr& b) {
-    // select -> aggregate, the gather chain TakeSide serves.
-    auto sel =
-        engine::Select(b, Scalar::Int(150), Scalar::Int(250), true, true)
-            .ValueOrDie();
-    return std::make_pair(sel, engine::Aggr(engine::AggFn::kSum, sel)
-                                   .ValueOrDie());
-  };
-  auto [raw_sel, raw_sum] = run(Bat::DenseHead(raw_col));
-  auto [enc_sel, enc_sum] = run(Bat::DenseHead(col));
-  ExpectSameBat(raw_sel, enc_sel, "encoded/raw parity");
-  EXPECT_EQ(raw_sum, enc_sum);
 }
 
 }  // namespace
