@@ -24,9 +24,9 @@
 #include "bat/hash_index.h"
 #include "bench/bench_common.h"
 #include "engine/operators.h"
-#include "engine/scalar_ref.h"
 #include "engine/vec/hashprobe.h"
 #include "server/query_service.h"
+#include "testing/scalar_ref.h"
 #include "util/str.h"
 
 using namespace recycledb;         // NOLINT
@@ -498,7 +498,7 @@ JsonRow RunBoundedMemoryPhase(Catalog* cat,
 
 // ---------------------------------------------------------------------------
 // Vectorised-kernel ablation: the rewritten engine entry points against the
-// retained element-at-a-time reference loops (engine/scalar_ref.h — the
+// retained element-at-a-time reference loops (testing/scalar_ref.h — the
 // former production code, kept verbatim) on scalar-adverse shapes: random
 // unsorted data so branches don't predict, working sets past L2 so the
 // probe's prefetch pipeline matters. Reported as within-run rel_qps

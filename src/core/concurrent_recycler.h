@@ -5,6 +5,7 @@
 #include <memory>
 #include <shared_mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/recycler.h"
@@ -212,6 +213,11 @@ class ConcurrentRecycler {
   /// Sorted multiset of RecyclePool::EntrySignature over every stripe, for
   /// parity tests against an unstriped Recycler pool.
   std::vector<std::string> ContentSignature() const;
+
+  /// The (sub, super) bat-id edges of the subset lattice the stripes share.
+  std::vector<std::pair<uint64_t, uint64_t>> SubsetEdges() const {
+    return shared_.pool_shared.lattice.Edges();
+  }
 
  private:
   friend class Session;

@@ -58,6 +58,14 @@ bool SubsetLattice::IsSubsetOf(uint64_t sub_bat, uint64_t super_bat) const {
   return false;
 }
 
+std::vector<std::pair<uint64_t, uint64_t>> SubsetLattice::Edges() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  std::vector<std::pair<uint64_t, uint64_t>> out;
+  for (const auto& [sub, parents] : subset_parents_)
+    for (uint64_t super : parents) out.emplace_back(sub, super);
+  return out;
+}
+
 void SubsetLattice::Clear() {
   std::lock_guard<std::mutex> lock(mu_);
   subset_parents_.clear();

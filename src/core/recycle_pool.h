@@ -7,6 +7,7 @@
 #include <mutex>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "catalog/catalog.h"
@@ -36,6 +37,9 @@ class SubsetLattice {
   void AddEdge(uint64_t sub_bat, uint64_t super_bat);
   bool IsSubsetOf(uint64_t sub_bat, uint64_t super_bat) const;
   void Clear();
+  /// A copy of every registered (sub, super) edge, for tests that check
+  /// each edge against the bats themselves.
+  std::vector<std::pair<uint64_t, uint64_t>> Edges() const;
 
  private:
   mutable std::mutex mu_;

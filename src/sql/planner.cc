@@ -175,7 +175,7 @@ class StmtPlanner {
       int sel = b_.SelectNotNil(HopChain(static_cast<int>(si)));
       cand_ = first ? b_.Recand(sel) : b_.Rebase(b_.Semijoin(cand_, sel));
     }
-    for (const Predicate& p : stmt_.where) RDB_RETURN_NOT_OK(LowerPredicate(p));
+    RDB_RETURN_NOT_OK(LowerWhere());
 
     std::vector<Out> outs;
     RDB_RETURN_NOT_OK(PlanItems(&outs));
@@ -233,7 +233,7 @@ class StmtPlanner {
   Status PlanDelete() {
     DeclareParams();
     RDB_RETURN_NOT_OK(SetupScopes());
-    for (const Predicate& p : stmt_.where) RDB_RETURN_NOT_OK(LowerPredicate(p));
+    RDB_RETURN_NOT_OK(LowerWhere());
 
     int victims;
     if (cand_ >= 0) {
@@ -257,7 +257,7 @@ class StmtPlanner {
                     const std::vector<int>& carry_cols) {
     DeclareParams();
     RDB_RETURN_NOT_OK(SetupScopes());
-    for (const Predicate& p : stmt_.where) RDB_RETURN_NOT_OK(LowerPredicate(p));
+    RDB_RETURN_NOT_OK(LowerWhere());
 
     int victims =
         cand_ >= 0 ? cand_
@@ -469,37 +469,87 @@ class StmtPlanner {
     return b_.Join(v, b_.Bind(s.table->name(), col));
   }
 
-  Status LowerPredicate(const Predicate& p) {
+  /// +1 for a lower bound (`>`, `>=`), -1 for an upper one (`<`, `<=`),
+  /// 0 for every predicate that is not a one-sided comparison.
+  static int BoundSide(const Predicate& p) {
+    if (p.kind != Predicate::Kind::kCompare) return 0;
+    switch (p.op) {
+      case CmpOp::kGt:
+      case CmpOp::kGe:
+        return 1;
+      case CmpOp::kLt:
+      case CmpOp::kLe:
+        return -1;
+      default:
+        return 0;
+    }
+  }
+
+  /// Lowers the WHERE conjunction left to right. A one-sided comparison
+  /// takes the first later, still unpaired conjunct on the same column that
+  /// bounds the other side, and the two become one range select (the
+  /// paper's select(col, lo, hi)). Pairing is by position, never by literal
+  /// value: a cached plan is re-bound with other literals. A further
+  /// same-side bound, `=`, `<>`, BETWEEN and LIKE stay chained.
+  Status LowerWhere() {
+    const std::vector<Predicate>& where = stmt_.where;
+    std::vector<bool> paired(where.size(), false);
+    for (size_t i = 0; i < where.size(); ++i) {
+      if (paired[i]) continue;
+      const Predicate* other = nullptr;
+      if (int side = BoundSide(where[i]); side != 0) {
+        auto rc = TryResolveColumn(where[i].col);
+        for (size_t j = i + 1; j < where.size() && other == nullptr; ++j) {
+          if (paired[j] || BoundSide(where[j]) != -side || rc.first < 0 ||
+              TryResolveColumn(where[j].col) != rc)
+            continue;
+          paired[j] = true;
+          other = &where[j];
+        }
+      }
+      RDB_RETURN_NOT_OK(LowerPredicate(where[i], other));
+    }
+    return Status::OK();
+  }
+
+  /// One conjunct (folded with `other`, the opposite bound on the same
+  /// column, when LowerWhere paired one) narrows the candidates. A
+  /// predicate on a joined N:1 table selects over the parent's base column,
+  /// [parent row -> value], and maps back through the hop chain to
+  /// [cand -> value]: the parent has fewer rows than the fetched column,
+  /// and a base-column select is the one the pool shares across patterns.
+  Status LowerPredicate(const Predicate& p, const Predicate* other) {
     RDB_ASSIGN_OR_RETURN(auto rc, ResolveColumn(p.col));
     auto [si, ci] = rc;
-    TypeTag ct = scopes_[si].table->column_type(ci);
+    const Scope& s = scopes_[si];
+    TypeTag ct = s.table->column_type(ci);
     bool first = cand_ < 0;
-    int v = FetchCol(si, ci);
+    int v = s.hops.empty() ? FetchCol(si, ci)
+                           : b_.Bind(s.table->name(), s.table->column_name(ci));
 
     int sel = -1;
     switch (p.kind) {
       case Predicate::Kind::kCompare: {
-        RDB_ASSIGN_OR_RETURN(int pv, UseParam(p.value, ct));
-        switch (p.op) {
-          case CmpOp::kEq:
-            sel = b_.Uselect(v, pv);
-            break;
-          case CmpOp::kNe:
-            sel = b_.AntiUselect(v, pv);
-            break;
-          case CmpOp::kLt:
-            sel = b_.Select(v, b_.NilConst(ct), pv, true, false);
-            break;
-          case CmpOp::kLe:
-            sel = b_.Select(v, b_.NilConst(ct), pv, true, true);
-            break;
-          case CmpOp::kGt:
-            sel = b_.Select(v, pv, b_.NilConst(ct), false, true);
-            break;
-          case CmpOp::kGe:
-            sel = b_.Select(v, pv, b_.NilConst(ct), true, true);
-            break;
+        if (BoundSide(p) != 0) {
+          int lo = -1, hi = -1;
+          bool lo_inc = true, hi_inc = true;
+          for (const Predicate* q : {&p, other}) {
+            if (q == nullptr) continue;
+            RDB_ASSIGN_OR_RETURN(int qv, UseParam(q->value, ct));
+            if (BoundSide(*q) > 0) {
+              lo = qv;
+              lo_inc = q->op == CmpOp::kGe;
+            } else {
+              hi = qv;
+              hi_inc = q->op == CmpOp::kLe;
+            }
+          }
+          sel = b_.Select(v, lo >= 0 ? lo : b_.NilConst(ct),
+                          hi >= 0 ? hi : b_.NilConst(ct), lo_inc, hi_inc);
+          break;
         }
+        RDB_ASSIGN_OR_RETURN(int pv, UseParam(p.value, ct));
+        sel = p.op == CmpOp::kEq ? b_.Uselect(v, pv) : b_.AntiUselect(v, pv);
         break;
       }
       case Predicate::Kind::kBetween: {
@@ -522,6 +572,7 @@ class StmtPlanner {
         break;
       }
     }
+    if (!s.hops.empty()) sel = b_.Join(HopChain(si), sel);
     cand_ = first ? b_.Recand(sel) : b_.Rebase(b_.Semijoin(cand_, sel));
     return Status::OK();
   }

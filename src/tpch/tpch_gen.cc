@@ -1,4 +1,5 @@
 #include <cmath>
+#include <utility>
 
 #include "tpch/tpch.h"
 #include "util/str.h"
@@ -109,9 +110,10 @@ Status LoadTpch(Catalog* cat, const TpchConfig& cfg) {
       keys.push_back(i);
       names.push_back(kRegions[i]);
     }
+    RDB_RETURN_NOT_OK(cat->LoadColumn<Oid>("region", "r_regionkey",
+                                           std::move(keys), true, true));
     RDB_RETURN_NOT_OK(
-        cat->LoadColumn<Oid>("region", "r_regionkey", keys, true, true));
-    RDB_RETURN_NOT_OK(cat->LoadColumn<std::string>("region", "r_name", names));
+        cat->LoadColumn<std::string>("region", "r_name", std::move(names)));
   }
 
   cat->CreateTable("nation", {{"n_nationkey", TypeTag::kOid},
@@ -125,10 +127,12 @@ Status LoadTpch(Catalog* cat, const TpchConfig& cfg) {
       names.push_back(kNations[i].name);
       regs.push_back(static_cast<Oid>(kNations[i].region));
     }
+    RDB_RETURN_NOT_OK(cat->LoadColumn<Oid>("nation", "n_nationkey",
+                                           std::move(keys), true, true));
     RDB_RETURN_NOT_OK(
-        cat->LoadColumn<Oid>("nation", "n_nationkey", keys, true, true));
-    RDB_RETURN_NOT_OK(cat->LoadColumn<std::string>("nation", "n_name", names));
-    RDB_RETURN_NOT_OK(cat->LoadColumn<Oid>("nation", "n_regionkey", regs));
+        cat->LoadColumn<std::string>("nation", "n_name", std::move(names)));
+    RDB_RETURN_NOT_OK(
+        cat->LoadColumn<Oid>("nation", "n_regionkey", std::move(regs)));
   }
 
   // --- supplier --------------------------------------------------------------
@@ -148,13 +152,16 @@ Status LoadTpch(Catalog* cat, const TpchConfig& cfg) {
       bals[i] = rng.UniformDouble(-999.99, 9999.99);
       comments[i] = RandomComment(&rng, "Customer", "Complaints", 0.005);
     }
+    RDB_RETURN_NOT_OK(cat->LoadColumn<Oid>("supplier", "s_suppkey",
+                                           std::move(keys), true, true));
     RDB_RETURN_NOT_OK(
-        cat->LoadColumn<Oid>("supplier", "s_suppkey", keys, true, true));
-    RDB_RETURN_NOT_OK(cat->LoadColumn<std::string>("supplier", "s_name", names));
-    RDB_RETURN_NOT_OK(cat->LoadColumn<Oid>("supplier", "s_nationkey", nations));
-    RDB_RETURN_NOT_OK(cat->LoadColumn<double>("supplier", "s_acctbal", bals));
+        cat->LoadColumn<std::string>("supplier", "s_name", std::move(names)));
     RDB_RETURN_NOT_OK(
-        cat->LoadColumn<std::string>("supplier", "s_comment", comments));
+        cat->LoadColumn<Oid>("supplier", "s_nationkey", std::move(nations)));
+    RDB_RETURN_NOT_OK(
+        cat->LoadColumn<double>("supplier", "s_acctbal", std::move(bals)));
+    RDB_RETURN_NOT_OK(cat->LoadColumn<std::string>("supplier", "s_comment",
+                                                   std::move(comments)));
   }
 
   // --- customer --------------------------------------------------------------
@@ -178,14 +185,18 @@ Status LoadTpch(Catalog* cat, const TpchConfig& cfg) {
       // Phone country code = nationkey + 10 (spec); Q22 filters on it.
       ccs[i] = static_cast<int32_t>(nations[i]) + 10;
     }
+    RDB_RETURN_NOT_OK(cat->LoadColumn<Oid>("customer", "c_custkey",
+                                           std::move(keys), true, true));
     RDB_RETURN_NOT_OK(
-        cat->LoadColumn<Oid>("customer", "c_custkey", keys, true, true));
-    RDB_RETURN_NOT_OK(cat->LoadColumn<std::string>("customer", "c_name", names));
-    RDB_RETURN_NOT_OK(cat->LoadColumn<Oid>("customer", "c_nationkey", nations));
-    RDB_RETURN_NOT_OK(cat->LoadColumn<double>("customer", "c_acctbal", bals));
+        cat->LoadColumn<std::string>("customer", "c_name", std::move(names)));
     RDB_RETURN_NOT_OK(
-        cat->LoadColumn<std::string>("customer", "c_mktsegment", segs));
-    RDB_RETURN_NOT_OK(cat->LoadColumn<int32_t>("customer", "c_phone_cc", ccs));
+        cat->LoadColumn<Oid>("customer", "c_nationkey", std::move(nations)));
+    RDB_RETURN_NOT_OK(
+        cat->LoadColumn<double>("customer", "c_acctbal", std::move(bals)));
+    RDB_RETURN_NOT_OK(cat->LoadColumn<std::string>("customer", "c_mktsegment",
+                                                   std::move(segs)));
+    RDB_RETURN_NOT_OK(
+        cat->LoadColumn<int32_t>("customer", "c_phone_cc", std::move(ccs)));
   }
 
   // --- part ------------------------------------------------------------------
@@ -216,14 +227,19 @@ Status LoadTpch(Catalog* cat, const TpchConfig& cfg) {
       prices[i] = 900 + (static_cast<double>(i % 1000)) / 10.0;
     }
     RDB_RETURN_NOT_OK(
-        cat->LoadColumn<Oid>("part", "p_partkey", keys, true, true));
-    RDB_RETURN_NOT_OK(cat->LoadColumn<std::string>("part", "p_name", names));
-    RDB_RETURN_NOT_OK(cat->LoadColumn<std::string>("part", "p_brand", brands));
-    RDB_RETURN_NOT_OK(cat->LoadColumn<std::string>("part", "p_type", types));
-    RDB_RETURN_NOT_OK(cat->LoadColumn<int32_t>("part", "p_size", sizes));
+        cat->LoadColumn<Oid>("part", "p_partkey", std::move(keys), true, true));
     RDB_RETURN_NOT_OK(
-        cat->LoadColumn<std::string>("part", "p_container", containers));
-    RDB_RETURN_NOT_OK(cat->LoadColumn<double>("part", "p_retailprice", prices));
+        cat->LoadColumn<std::string>("part", "p_name", std::move(names)));
+    RDB_RETURN_NOT_OK(
+        cat->LoadColumn<std::string>("part", "p_brand", std::move(brands)));
+    RDB_RETURN_NOT_OK(
+        cat->LoadColumn<std::string>("part", "p_type", std::move(types)));
+    RDB_RETURN_NOT_OK(
+        cat->LoadColumn<int32_t>("part", "p_size", std::move(sizes)));
+    RDB_RETURN_NOT_OK(cat->LoadColumn<std::string>("part", "p_container",
+                                                   std::move(containers)));
+    RDB_RETURN_NOT_OK(
+        cat->LoadColumn<double>("part", "p_retailprice", std::move(prices)));
   }
 
   // --- partsupp (4 suppliers per part) ----------------------------------------
@@ -245,12 +261,14 @@ Status LoadTpch(Catalog* cat, const TpchConfig& cfg) {
         costs[k] = rng.UniformDouble(1.0, 1000.0);
       }
     }
+    RDB_RETURN_NOT_OK(cat->LoadColumn<Oid>("partsupp", "ps_partkey",
+                                           std::move(pkeys), true, false));
     RDB_RETURN_NOT_OK(
-        cat->LoadColumn<Oid>("partsupp", "ps_partkey", pkeys, true, false));
-    RDB_RETURN_NOT_OK(cat->LoadColumn<Oid>("partsupp", "ps_suppkey", skeys));
-    RDB_RETURN_NOT_OK(cat->LoadColumn<int32_t>("partsupp", "ps_availqty", qtys));
+        cat->LoadColumn<Oid>("partsupp", "ps_suppkey", std::move(skeys)));
     RDB_RETURN_NOT_OK(
-        cat->LoadColumn<double>("partsupp", "ps_supplycost", costs));
+        cat->LoadColumn<int32_t>("partsupp", "ps_availqty", std::move(qtys)));
+    RDB_RETURN_NOT_OK(
+        cat->LoadColumn<double>("partsupp", "ps_supplycost", std::move(costs)));
   }
 
   // --- orders + lineitem -------------------------------------------------------
@@ -286,8 +304,15 @@ Status LoadTpch(Catalog* cat, const TpchConfig& cfg) {
     std::vector<int32_t> l_lineno, l_qty, l_ship, l_commit, l_receipt;
     std::vector<double> l_price, l_disc, l_tax;
     std::vector<std::string> l_flag, l_status, l_instr, l_mode;
-    size_t reserve = n_ord * 4;
-    l_okey.reserve(reserve);
+    // An order has at most 7 lines: reserving that many keeps every column
+    // from reallocating, and the pages past the final size are never
+    // touched.
+    const size_t reserve = n_ord * 7;
+    for (auto* v : {&l_okey, &l_part, &l_supp}) v->reserve(reserve);
+    for (auto* v : {&l_lineno, &l_qty, &l_ship, &l_commit, &l_receipt})
+      v->reserve(reserve);
+    for (auto* v : {&l_price, &l_disc, &l_tax}) v->reserve(reserve);
+    for (auto* v : {&l_flag, &l_status, &l_instr, &l_mode}) v->reserve(reserve);
 
     for (size_t o = 0; o < n_ord; ++o) {
       o_key[o] = o;
@@ -334,43 +359,51 @@ Status LoadTpch(Catalog* cat, const TpchConfig& cfg) {
       o_status[o] = n_f == nl ? "F" : (n_f == 0 ? "O" : "P");
     }
 
+    RDB_RETURN_NOT_OK(cat->LoadColumn<Oid>("orders", "o_orderkey",
+                                           std::move(o_key), true, true));
     RDB_RETURN_NOT_OK(
-        cat->LoadColumn<Oid>("orders", "o_orderkey", o_key, true, true));
-    RDB_RETURN_NOT_OK(cat->LoadColumn<Oid>("orders", "o_custkey", o_cust));
+        cat->LoadColumn<Oid>("orders", "o_custkey", std::move(o_cust)));
+    RDB_RETURN_NOT_OK(cat->LoadColumn<std::string>("orders", "o_orderstatus",
+                                                   std::move(o_status)));
     RDB_RETURN_NOT_OK(
-        cat->LoadColumn<std::string>("orders", "o_orderstatus", o_status));
-    RDB_RETURN_NOT_OK(cat->LoadColumn<double>("orders", "o_totalprice", o_total));
-    RDB_RETURN_NOT_OK(cat->LoadColumn<int32_t>("orders", "o_orderdate", o_date));
+        cat->LoadColumn<double>("orders", "o_totalprice", std::move(o_total)));
     RDB_RETURN_NOT_OK(
-        cat->LoadColumn<std::string>("orders", "o_orderpriority", o_prio));
-    RDB_RETURN_NOT_OK(
-        cat->LoadColumn<std::string>("orders", "o_comment", o_comment));
+        cat->LoadColumn<int32_t>("orders", "o_orderdate", std::move(o_date)));
+    RDB_RETURN_NOT_OK(cat->LoadColumn<std::string>("orders", "o_orderpriority",
+                                                   std::move(o_prio)));
+    RDB_RETURN_NOT_OK(cat->LoadColumn<std::string>("orders", "o_comment",
+                                                   std::move(o_comment)));
 
+    RDB_RETURN_NOT_OK(cat->LoadColumn<Oid>("lineitem", "l_orderkey",
+                                           std::move(l_okey), true, false));
     RDB_RETURN_NOT_OK(
-        cat->LoadColumn<Oid>("lineitem", "l_orderkey", l_okey, true, false));
-    RDB_RETURN_NOT_OK(cat->LoadColumn<Oid>("lineitem", "l_partkey", l_part));
-    RDB_RETURN_NOT_OK(cat->LoadColumn<Oid>("lineitem", "l_suppkey", l_supp));
+        cat->LoadColumn<Oid>("lineitem", "l_partkey", std::move(l_part)));
     RDB_RETURN_NOT_OK(
-        cat->LoadColumn<int32_t>("lineitem", "l_linenumber", l_lineno));
-    RDB_RETURN_NOT_OK(cat->LoadColumn<int32_t>("lineitem", "l_quantity", l_qty));
+        cat->LoadColumn<Oid>("lineitem", "l_suppkey", std::move(l_supp)));
+    RDB_RETURN_NOT_OK(cat->LoadColumn<int32_t>("lineitem", "l_linenumber",
+                                               std::move(l_lineno)));
     RDB_RETURN_NOT_OK(
-        cat->LoadColumn<double>("lineitem", "l_extendedprice", l_price));
-    RDB_RETURN_NOT_OK(cat->LoadColumn<double>("lineitem", "l_discount", l_disc));
-    RDB_RETURN_NOT_OK(cat->LoadColumn<double>("lineitem", "l_tax", l_tax));
+        cat->LoadColumn<int32_t>("lineitem", "l_quantity", std::move(l_qty)));
+    RDB_RETURN_NOT_OK(cat->LoadColumn<double>("lineitem", "l_extendedprice",
+                                              std::move(l_price)));
     RDB_RETURN_NOT_OK(
-        cat->LoadColumn<std::string>("lineitem", "l_returnflag", l_flag));
+        cat->LoadColumn<double>("lineitem", "l_discount", std::move(l_disc)));
     RDB_RETURN_NOT_OK(
-        cat->LoadColumn<std::string>("lineitem", "l_linestatus", l_status));
+        cat->LoadColumn<double>("lineitem", "l_tax", std::move(l_tax)));
+    RDB_RETURN_NOT_OK(cat->LoadColumn<std::string>("lineitem", "l_returnflag",
+                                                   std::move(l_flag)));
+    RDB_RETURN_NOT_OK(cat->LoadColumn<std::string>("lineitem", "l_linestatus",
+                                                   std::move(l_status)));
     RDB_RETURN_NOT_OK(
-        cat->LoadColumn<int32_t>("lineitem", "l_shipdate", l_ship));
-    RDB_RETURN_NOT_OK(
-        cat->LoadColumn<int32_t>("lineitem", "l_commitdate", l_commit));
-    RDB_RETURN_NOT_OK(
-        cat->LoadColumn<int32_t>("lineitem", "l_receiptdate", l_receipt));
-    RDB_RETURN_NOT_OK(
-        cat->LoadColumn<std::string>("lineitem", "l_shipinstruct", l_instr));
-    RDB_RETURN_NOT_OK(
-        cat->LoadColumn<std::string>("lineitem", "l_shipmode", l_mode));
+        cat->LoadColumn<int32_t>("lineitem", "l_shipdate", std::move(l_ship)));
+    RDB_RETURN_NOT_OK(cat->LoadColumn<int32_t>("lineitem", "l_commitdate",
+                                               std::move(l_commit)));
+    RDB_RETURN_NOT_OK(cat->LoadColumn<int32_t>("lineitem", "l_receiptdate",
+                                               std::move(l_receipt)));
+    RDB_RETURN_NOT_OK(cat->LoadColumn<std::string>("lineitem", "l_shipinstruct",
+                                                   std::move(l_instr)));
+    RDB_RETURN_NOT_OK(cat->LoadColumn<std::string>("lineitem", "l_shipmode",
+                                                   std::move(l_mode)));
   }
 
   // --- join indices -------------------------------------------------------------

@@ -1,4 +1,4 @@
-#include "engine/scalar_ref.h"
+#include "testing/scalar_ref.h"
 
 #include "bat/hash_index.h"
 #include "engine/detail.h"

@@ -1,5 +1,5 @@
-#ifndef RECYCLEDB_ENGINE_SCALAR_REF_H_
-#define RECYCLEDB_ENGINE_SCALAR_REF_H_
+#ifndef RECYCLEDB_TESTING_SCALAR_REF_H_
+#define RECYCLEDB_TESTING_SCALAR_REF_H_
 
 #include "engine/operators.h"
 
@@ -32,4 +32,4 @@ Result<BatPtr> LikeSelect(const BatPtr& b, const std::string& pattern);
 
 }  // namespace recycledb::engine::scalar_ref
 
-#endif  // RECYCLEDB_ENGINE_SCALAR_REF_H_
+#endif  // RECYCLEDB_TESTING_SCALAR_REF_H_

@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+#include <vector>
+
 #include "interp/interpreter.h"
 #include "server/query_service.h"
 #include "skyserver/skyserver.h"
@@ -537,6 +541,179 @@ TEST_F(SqlTest, AmbiguousColumnNeedsQualifier) {
 }
 
 // ---------------------------------------------------------------------------
+// Plan shapes: one range select per column, parent-side N:1 predicates.
+// ---------------------------------------------------------------------------
+
+/// One algebra.select of a plan: the base column it reads ("table.column",
+/// empty when it reads an intermediate), the variables of its bounds
+/// (parameter i is variable i; -1 for an unbounded side) and its flags.
+struct SelectShape {
+  std::string over;
+  int lo = -1, hi = -1;
+  bool lo_inc = false, hi_inc = false;
+};
+
+std::vector<SelectShape> Selects(const Program& p) {
+  std::map<int, const Instruction*> def;
+  for (const Instruction& in : p.instrs)
+    for (uint16_t r : in.rets) def[r] = &in;
+  auto bound = [&](uint16_t v) {
+    const VarDecl& d = p.vars[v];
+    return d.is_const && d.const_val.is_nil() ? -1 : static_cast<int>(v);
+  };
+  std::vector<SelectShape> out;
+  for (const Instruction& in : p.instrs) {
+    if (in.op != Opcode::kSelect) continue;
+    SelectShape s;
+    auto it = def.find(in.args[0]);
+    if (it != def.end() && it->second->op == Opcode::kBind) {
+      const std::vector<uint16_t>& b = it->second->args;
+      s.over = p.vars[b[1]].const_val.AsStr() + "." +
+               p.vars[b[2]].const_val.AsStr();
+    }
+    s.lo = bound(in.args[1]);
+    s.hi = bound(in.args[2]);
+    s.lo_inc = p.vars[in.args[3]].const_val.AsBit();
+    s.hi_inc = p.vars[in.args[4]].const_val.AsBit();
+    out.push_back(s);
+  }
+  return out;
+}
+
+std::vector<Oid> Victims(const QueryResult& r) {
+  std::vector<Oid> out;
+  const MalValue* v = r.Find("victims");
+  EXPECT_NE(v, nullptr);
+  if (v == nullptr || !v->is_bat()) return out;
+  for (size_t i = 0; i < v->bat()->size(); ++i)
+    out.push_back(v->bat()->TailAt(i).AsOid());
+  return out;
+}
+
+TEST_F(SqlTest, OppositeBoundsOnOneColumnFoldInAnyOrder) {
+  // Upper bound first, another column between, strict lower bound last:
+  // one select over the base column takes A2 as lo and A0 as hi.
+  const char* text =
+      "select e_name from emp where e_age <= 45 and e_salary > 150.0 and "
+      "e_age > 30";
+  auto q = sql::CompileSql(cat_.get(), text);
+  ASSERT_TRUE(q.ok()) << q.status().ToString();
+  auto sels = Selects(q.value().plan.prog);
+  ASSERT_EQ(sels.size(), 2u);
+  EXPECT_EQ(sels[0].over, "emp.e_age");
+  EXPECT_EQ(sels[0].lo, 2);
+  EXPECT_EQ(sels[0].hi, 0);
+  EXPECT_FALSE(sels[0].lo_inc);
+  EXPECT_TRUE(sels[0].hi_inc);
+  EXPECT_EQ(sels[1].over, "");  // e_salary over the fetched candidates
+  EXPECT_EQ(sels[1].lo, 1);
+  EXPECT_EQ(sels[1].hi, -1);
+
+  // Folding consumes the parameters; it does not reorder them.
+  EXPECT_EQ(q.value().fingerprint,
+            "select e_name from emp where e_age<=?int and e_salary>?flt and "
+            "e_age>?int");
+  ASSERT_EQ(q.value().params.size(), 3u);
+  EXPECT_EQ(q.value().params[0], Scalar::Int(45));
+  EXPECT_EQ(q.value().params[1], Scalar::Dbl(150.0));
+  EXPECT_EQ(q.value().params[2], Scalar::Int(30));
+
+  auto r = Run(text);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(Strs(r.value(), "e_name"),
+            (std::vector<std::string>{"cho", "dan", "eve"}));
+}
+
+TEST_F(SqlTest, ExtraBoundsAndBetweenStayChained) {
+  // The third bound is on a side already taken: it stays a one-sided
+  // select over the candidates of the folded one.
+  const char* text =
+      "select e_name from emp where e_age >= 30 and e_age < 50 and e_age > "
+      "35";
+  auto q = sql::CompileSql(cat_.get(), text);
+  ASSERT_TRUE(q.ok()) << q.status().ToString();
+  auto sels = Selects(q.value().plan.prog);
+  ASSERT_EQ(sels.size(), 2u);
+  EXPECT_EQ(sels[0].over, "emp.e_age");
+  EXPECT_EQ(sels[0].lo, 0);
+  EXPECT_EQ(sels[0].hi, 1);
+  EXPECT_TRUE(sels[0].lo_inc);
+  EXPECT_FALSE(sels[0].hi_inc);
+  EXPECT_EQ(sels[1].over, "");
+  EXPECT_EQ(sels[1].lo, 2);
+  EXPECT_EQ(sels[1].hi, -1);
+  auto r = Run(text);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(Strs(r.value(), "e_name"),
+            (std::vector<std::string>{"dan", "eve"}));
+
+  // BETWEEN is already one select; a later bound does not join it.
+  q = sql::CompileSql(cat_.get(),
+                      "select e_name from emp where e_age between 30 and 45 "
+                      "and e_age < 40");
+  ASSERT_TRUE(q.ok()) << q.status().ToString();
+  sels = Selects(q.value().plan.prog);
+  ASSERT_EQ(sels.size(), 2u);
+  EXPECT_EQ(sels[0].over, "emp.e_age");
+  EXPECT_EQ(sels[1].over, "");
+  EXPECT_EQ(sels[1].hi, 2);
+}
+
+TEST_F(SqlTest, ParentPredicatesSelectOverTheParentColumn) {
+  const char* text =
+      "select e_name from emp inner join dept on e_dept = d_id where d_id >= "
+      "1 and e_age < 45 and d_id < 3";
+  auto q = sql::CompileSql(cat_.get(), text);
+  ASSERT_TRUE(q.ok()) << q.status().ToString();
+  auto sels = Selects(q.value().plan.prog);
+  ASSERT_EQ(sels.size(), 2u);
+  EXPECT_EQ(sels[0].over, "dept.d_id");
+  EXPECT_EQ(sels[0].lo, 0);
+  EXPECT_EQ(sels[0].hi, 2);
+  EXPECT_EQ(sels[1].over, "");
+  auto r = Run(text);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(Strs(r.value(), "e_name"),
+            (std::vector<std::string>{"cho", "dan"}));
+
+  // Anti-selects map back through the hop the same way.
+  r = Run("select e_name from emp inner join dept on e_dept = d_id where "
+          "d_name not like 's%' and d_name <> 'hr'");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(Strs(r.value(), "e_name"),
+            (std::vector<std::string>{"ann", "bob", "flo"}));
+}
+
+TEST_F(SqlTest, FoldedDeleteAndUpdateSelectTheSameVictims) {
+  auto del = sql::ParseStatement(
+      "delete from emp where e_age > 30 and e_salary < 450.0 and e_age <= 45");
+  ASSERT_TRUE(del.ok()) << del.status().ToString();
+  std::vector<Scalar> params;
+  auto dplan = sql::CompileDelete(cat_.get(), del.value().del, &params);
+  ASSERT_TRUE(dplan.ok()) << dplan.status().ToString();
+  auto sels = Selects(dplan.value().prog);
+  ASSERT_EQ(sels.size(), 2u);
+  EXPECT_EQ(sels[0].over, "emp.e_age");
+  Interpreter interp(cat_.get());
+  auto r = interp.Run(dplan.value().prog, params);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(Victims(r.value()), (std::vector<Oid>{2, 3}));
+
+  auto upd = sql::ParseStatement(
+      "update emp set e_salary = e_salary * 2 where e_hired >= date "
+      "'2020-01-01' and e_hired < date '2022-01-01'");
+  ASSERT_TRUE(upd.ok()) << upd.status().ToString();
+  auto uplan = sql::CompileUpdate(cat_.get(), upd.value().update);
+  ASSERT_TRUE(uplan.ok()) << uplan.status().ToString();
+  sels = Selects(uplan.value().plan.prog);
+  ASSERT_EQ(sels.size(), 1u);
+  EXPECT_EQ(sels[0].over, "emp.e_hired");
+  r = interp.Run(uplan.value().plan.prog, uplan.value().params);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(Victims(r.value()), (std::vector<Oid>{1, 2, 3}));
+}
+
+// ---------------------------------------------------------------------------
 // Recycler parity with the hand-built templates (paper workloads).
 // ---------------------------------------------------------------------------
 
@@ -780,6 +957,48 @@ TEST_F(SqlTpchTest, MixedWorkloadCompilesMuchLessThanSubmissions) {
   EXPECT_EQ(s.plan_lookups, 60u);
   EXPECT_EQ(s.plan_compiles, 3u);  // one per pattern
   EXPECT_EQ(s.plan_hits, 57u);
+}
+
+TEST_F(SqlTpchTest, Q6AndJoinPatternsFoldAndSelectOnTheParent) {
+  // Q6: the two l_shipdate bounds are one select over the base column.
+  const char* q6 =
+      "select sum(l_extendedprice * l_discount) from lineitem where "
+      "l_shipdate >= date '1994-01-01' and l_shipdate < date '1995-01-01' "
+      "and l_discount between 0.05 and 0.07 and l_quantity < 24";
+  auto q = sql::CompileSql(cat_.get(), q6);
+  ASSERT_TRUE(q.ok()) << q.status().ToString();
+  EXPECT_EQ(q.value().plan.prog.instrs.size(), 25u);  // 32 when chained
+  auto sels = Selects(q.value().plan.prog);
+  ASSERT_EQ(sels.size(), 3u);
+  EXPECT_EQ(sels[0].over, "lineitem.l_shipdate");
+  EXPECT_EQ(sels[0].lo, 0);
+  EXPECT_EQ(sels[0].hi, 1);
+  EXPECT_TRUE(sels[0].lo_inc);
+  EXPECT_FALSE(sels[0].hi_inc);
+  EXPECT_EQ(q.value().fingerprint,
+            "select sum((l_extendedprice*l_discount)) from lineitem where "
+            "l_shipdate>=?date and l_shipdate<?date and l_discount between "
+            "?flt and ?flt and l_quantity<?int");
+  ASSERT_EQ(q.value().params.size(), 5u);
+  EXPECT_EQ(q.value().params[0], Scalar::DateVal(DateFromYmd(1994, 1, 1)));
+  EXPECT_EQ(q.value().params[1], Scalar::DateVal(DateFromYmd(1995, 1, 1)));
+
+  // The join pattern selects over orders' own column, not over the
+  // o_orderdate values fetched for every lineitem row.
+  q = sql::CompileSql(
+      cat_.get(),
+      "select count(*) from lineitem inner join orders on l_orderkey = "
+      "o_orderkey where o_orderdate >= date '1994-01-01' and o_orderdate < "
+      "date '1994-07-01'");
+  ASSERT_TRUE(q.ok()) << q.status().ToString();
+  EXPECT_EQ(q.value().plan.prog.instrs.size(), 15u);  // 24 when fetched
+  sels = Selects(q.value().plan.prog);
+  ASSERT_EQ(sels.size(), 1u);
+  EXPECT_EQ(sels[0].over, "orders.o_orderdate");
+  EXPECT_EQ(sels[0].lo, 0);
+  EXPECT_EQ(sels[0].hi, 1);
+  EXPECT_TRUE(sels[0].lo_inc);
+  EXPECT_FALSE(sels[0].hi_inc);
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Vectorised-kernel parity: the batched entry points (engine/vec/ behind
 // Select/LikeSelect/Join/GroupedAggr) must produce byte-identical output to
-// the retained element-at-a-time reference loops (engine/scalar_ref.h) on
+// the retained element-at-a-time reference loops (testing/scalar_ref.h) on
 // randomised sweeps — including in-band nils, duplicate join keys (emission
 // order matters) and the key-flagged unique-inner probe.
 
@@ -11,7 +11,7 @@
 
 #include "bat/column.h"
 #include "engine/operators.h"
-#include "engine/scalar_ref.h"
+#include "testing/scalar_ref.h"
 #include "util/rng.h"
 
 namespace recycledb {
