@@ -20,18 +20,26 @@ struct MemVisitor {
   size_t operator()(const std::vector<T>& v) const {
     return v.capacity() * sizeof(T);
   }
-  size_t operator()(const std::vector<std::string>& v) const {
-    size_t bytes = v.capacity() * sizeof(std::string);
-    for (const auto& s : v) bytes += s.capacity();
-    return bytes;
-  }
 };
 
 }  // namespace
 
-Column::Column(TypeTag type, Storage storage)
-    : type_(type), storage_(std::move(storage)) {
+Column::Column(TypeTag type, Storage storage, StringHeapPtr heap)
+    : type_(type), storage_(std::move(storage)), heap_(std::move(heap)) {
+  RDB_CHECK((type_ == TypeTag::kStr) == (heap_ != nullptr));
   mem_bytes_ = std::visit(MemVisitor{}, storage_);
+}
+
+template <>
+std::shared_ptr<Column> Column::Make<std::string>(TypeTag type,
+                                                 std::vector<std::string> v,
+                                                 StringHeapPtr heap) {
+  RDB_CHECK(type == TypeTag::kStr && heap == nullptr);
+  StringHeapBuilder builder;
+  std::vector<StrCode> codes;
+  codes.reserve(v.size());
+  for (const auto& s : v) codes.push_back(builder.Intern(s));
+  return Make(type, std::move(codes), builder.Finish());
 }
 
 size_t Column::size() const {
@@ -54,7 +62,7 @@ Scalar Column::GetScalar(size_t i) const {
     case TypeTag::kOid:
       return Scalar::OidVal(Data<Oid>()[i]);
     case TypeTag::kStr:
-      return Scalar::Str(Data<std::string>()[i]);
+      return Scalar::Str(std::string(heap_->Get(Data<StrCode>()[i])));
     case TypeTag::kVoid:
       break;
   }
@@ -63,7 +71,16 @@ Scalar Column::GetScalar(size_t i) const {
 
 void Column::ComputeSorted() {
   sorted_ = std::visit(
-      [](const auto& v) { return std::is_sorted(v.begin(), v.end()); },
+      [&](const auto& v) {
+        using T = typename std::decay_t<decltype(v)>::value_type;
+        if constexpr (std::is_same_v<T, StrCode>) {
+          return std::is_sorted(v.begin(), v.end(), [&](StrCode a, StrCode b) {
+            return heap_->Get(a) < heap_->Get(b);
+          });
+        } else {
+          return std::is_sorted(v.begin(), v.end());
+        }
+      },
       storage_);
 }
 

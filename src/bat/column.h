@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "bat/scalar.h"
+#include "bat/string_heap.h"
 #include "bat/types.h"
 
 namespace recycledb {
@@ -21,20 +22,27 @@ using ColumnPtr = std::shared_ptr<const Column>;
 /// Properties (`sorted`, `key`) steer operator implementation choices: a
 /// range select over a sorted column returns a zero-copy view, a join whose
 /// inner is a key column skips duplicate handling.
+///
+/// A string column is one code per row into a shared, deduplicated
+/// StringHeap; `sorted` then means sorted by string content.
 class Column {
  public:
   using Storage =
       std::variant<std::vector<int8_t>, std::vector<int32_t>,
                    std::vector<int64_t>, std::vector<Oid>, std::vector<double>,
-                   std::vector<std::string>>;
+                   std::vector<StrCode>>;
 
-  Column(TypeTag type, Storage storage);
+  /// `heap` is required for kStr and must be null otherwise.
+  Column(TypeTag type, Storage storage, StringHeapPtr heap = nullptr);
 
   /// Builds a column from a typed vector. T must be the physical type of
-  /// `type` (e.g., int32_t for kDate).
+  /// `type` (e.g., int32_t for kDate); string codes come with their heap.
+  /// `Make<std::string>` interns the strings into a fresh heap.
   template <typename T>
-  static std::shared_ptr<Column> Make(TypeTag type, std::vector<T> v) {
-    return std::make_shared<Column>(type, Storage(std::move(v)));
+  static std::shared_ptr<Column> Make(TypeTag type, std::vector<T> v,
+                                      StringHeapPtr heap = nullptr) {
+    return std::make_shared<Column>(type, Storage(std::move(v)),
+                                    std::move(heap));
   }
 
   TypeTag type() const { return type_; }
@@ -58,7 +66,13 @@ class Column {
   bool persistent() const { return persistent_; }
   void set_persistent(bool p) { persistent_ = p; }
 
-  /// Heap bytes held by this column (strings include character data).
+  /// The string heap of a kStr column (null for other types). Fetches and
+  /// selects share it, so two string sides with the same heap compare by
+  /// code.
+  const StringHeapPtr& heap() const { return heap_; }
+
+  /// Bytes of the value vector. A string column counts its codes only: its
+  /// heap is shared, and is charged once, to its catalog column.
   size_t MemoryBytes() const { return mem_bytes_; }
 
   /// Boxed element access (slow path: printing, tests, tiny results).
@@ -74,7 +88,13 @@ class Column {
   bool key_ = false;
   bool persistent_ = false;
   size_t mem_bytes_ = 0;
+  StringHeapPtr heap_;
 };
+
+template <>
+std::shared_ptr<Column> Column::Make<std::string>(TypeTag type,
+                                                 std::vector<std::string> v,
+                                                 StringHeapPtr heap);
 
 }  // namespace recycledb
 

@@ -2,6 +2,7 @@
 #define RECYCLEDB_BAT_TYPES_H_
 
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <string>
 
@@ -13,6 +14,16 @@ namespace recycledb {
 /// results carry materialised oid columns.
 using Oid = uint64_t;
 inline constexpr Oid kNilOid = std::numeric_limits<Oid>::max();
+
+/// A string value in a column: the position of its characters in the
+/// column's StringHeap (bat/string_heap.h). Code 0 is always the empty
+/// string, the string nil. Codes compare for equality only; their order is
+/// not the strings' order.
+struct StrCode {
+  uint32_t v = 0;
+  bool operator==(StrCode o) const { return v == o.v; }
+  bool operator!=(StrCode o) const { return v != o.v; }
+};
 
 /// Logical column types, mirroring the MonetDB base types used in the paper
 /// (`:oid`, `:int`, `:lng`, `:dbl`, `:date`, `:str`, `:bit`).
@@ -40,7 +51,7 @@ template <> struct Physical<TypeTag::kLng> { using type = int64_t; };
 template <> struct Physical<TypeTag::kDbl> { using type = double; };
 template <> struct Physical<TypeTag::kOid> { using type = Oid; };
 template <> struct Physical<TypeTag::kDate> { using type = int32_t; };
-template <> struct Physical<TypeTag::kStr> { using type = std::string; };
+template <> struct Physical<TypeTag::kStr> { using type = StrCode; };
 
 /// Per-physical-type nil markers (MonetDB-style in-band nils).
 template <typename T>
@@ -59,6 +70,7 @@ template <> constexpr double NilOf<double>() {
   return -std::numeric_limits<double>::max();
 }
 template <> constexpr Oid NilOf<Oid>() { return kNilOid; }
+template <> constexpr StrCode NilOf<StrCode>() { return StrCode{}; }
 template <> inline std::string NilOf<std::string>() { return std::string(); }
 
 template <typename T>
@@ -91,11 +103,16 @@ decltype(auto) VisitPhysical(TypeTag tag, F&& f) {
     case TypeTag::kVoid:
       return f(PhysTag<Oid>{});
     case TypeTag::kStr:
-      return f(PhysTag<std::string>{});
+      return f(PhysTag<StrCode>{});
   }
   return f(PhysTag<Oid>{});  // unreachable; silences -Wreturn-type
 }
 
 }  // namespace recycledb
+
+template <>
+struct std::hash<recycledb::StrCode> {
+  size_t operator()(recycledb::StrCode c) const { return c.v; }
+};
 
 #endif  // RECYCLEDB_BAT_TYPES_H_

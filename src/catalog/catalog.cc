@@ -1,6 +1,7 @@
 #include "catalog/catalog.h"
 
 #include <algorithm>
+#include <memory>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -31,11 +32,27 @@ ColumnPtr MergeColumn(TypeTag type, const Column& src,
     }
     std::vector<T> ins;
     ins.reserve(inserts.size());
-    for (const auto& row : inserts) ins.push_back(row[ci].Get<T>());
+    StringHeapPtr heap = src.heap();
+    if constexpr (std::is_same_v<T, StrCode>) {
+      // The old heap is shared while every inserted string is in it; a
+      // new string extends a copy, which keeps the old codes, so older
+      // snapshots keep their heap and the kept rows need no re-coding.
+      std::unique_ptr<StringHeapBuilder> extended;
+      for (const auto& row : inserts) {
+        const std::string& s = row[ci].AsStr();
+        StrCode c;
+        if (extended == nullptr && !heap->Find(s, &c))
+          extended = std::make_unique<StringHeapBuilder>(*heap);
+        ins.push_back(extended != nullptr ? extended->Intern(s) : c);
+      }
+      if (extended != nullptr) heap = extended->Finish();
+    } else {
+      for (const auto& row : inserts) ins.push_back(row[ci].Get<T>());
+    }
     if (inserted != nullptr && !ins.empty())
-      *inserted = Column::Make(type, ins);
+      *inserted = Column::Make(type, ins, heap);
     fresh.insert(fresh.end(), ins.begin(), ins.end());
-    auto col = Column::Make(type, std::move(fresh));
+    auto col = Column::Make(type, std::move(fresh), std::move(heap));
     col->set_persistent(true);
     col->ComputeSorted();
     merged = std::move(col);
@@ -700,10 +717,15 @@ bool Catalog::LastCommitInsertOnly(const std::string& table) const {
 
 size_t Catalog::TotalPersistentBytes() const {
   size_t bytes = 0;
+  std::unordered_set<const StringHeap*> heaps;  // each heap charged once
   for (const auto& t : tables_) {
     if (!t) continue;
     for (size_t ci = 0; ci < t->num_columns(); ++ci) {
-      if (t->column(ci)) bytes += t->column(ci)->MemoryBytes();
+      const ColumnPtr& col = t->column(ci);
+      if (col == nullptr) continue;
+      bytes += col->MemoryBytes();
+      if (col->heap() != nullptr && heaps.insert(col->heap().get()).second)
+        bytes += col->heap()->MemoryBytes();
     }
   }
   for (const auto& idx : indices_) {

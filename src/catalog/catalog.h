@@ -159,6 +159,7 @@ class Catalog {
 
   /// Installs column data during bulk load. All columns must end up with
   /// equal length. T is the physical type of the declared column type.
+  /// String data is interned into a fresh deduplicated heap.
   template <typename T>
   Status LoadColumn(const std::string& table, const std::string& column,
                     std::vector<T> data, bool sorted = false,

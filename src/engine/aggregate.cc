@@ -16,17 +16,21 @@ Result<Scalar> AggrTyped(AggFn fn, const BatPtr& b) {
   size_t n = b->size();
   if (fn == AggFn::kCount) return Scalar::Lng(static_cast<int64_t>(n));
 
-  if constexpr (std::is_same_v<T, std::string>) {
+  if constexpr (std::is_same_v<T, StrCode>) {
     if (fn == AggFn::kMin || fn == AggFn::kMax) {
-      bool any = false;
-      std::string best;
+      // Within one heap a repeated code is a repeated string: only a code
+      // change costs a string comparison.
+      const StringHeap& heap = *b->tail().col->heap();
+      StrCode best;  // nil until the first non-nil row
       for (size_t i = 0; i < n; ++i) {
-        const std::string& v = reader[i];
-        if (IsNil(v)) continue;
-        if (!any || (fn == AggFn::kMin ? v < best : best < v)) best = v;
-        any = true;
+        StrCode v = reader[i];
+        if (IsNil(v) || v == best) continue;
+        if (IsNil(best) || (fn == AggFn::kMin ? heap.Get(v) < heap.Get(best)
+                                              : heap.Get(best) < heap.Get(v)))
+          best = v;
       }
-      return any ? Scalar::Str(best) : Scalar::Nil(TypeTag::kStr);
+      return IsNil(best) ? Scalar::Nil(TypeTag::kStr)
+                         : Scalar::Str(std::string(heap.Get(best)));
     }
     return Status::TypeMismatch("numeric aggregate over strings");
   } else {
@@ -87,7 +91,7 @@ Result<BatPtr> GroupedAggrTyped(AggFn fn, const BatPtr& vals,
     return Bat::DenseHead(Column::Make(TypeTag::kLng, std::move(cnt)));
   }
 
-  if constexpr (std::is_same_v<T, std::string>) {
+  if constexpr (std::is_same_v<T, StrCode>) {
     return Status::TypeMismatch("grouped numeric aggregate over strings");
   } else {
     TypeTag t = vals->tail().LogicalType();

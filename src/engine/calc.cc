@@ -110,13 +110,13 @@ Result<BatPtr> CalcBin(BinOp op, const BatPtr& l, const BatPtr& r) {
   size_t n = l->size();
   return VisitPhysical(lt, [&](auto ltag) -> Result<BatPtr> {
     using LT = typename decltype(ltag)::type;
-    if constexpr (std::is_same_v<LT, std::string>) {
+    if constexpr (std::is_same_v<LT, StrCode>) {
       return Status::TypeMismatch("calc over strings");
     } else {
       AnySideReader<LT> lr(l->tail());
       return VisitPhysical(rt, [&](auto rtag) -> Result<BatPtr> {
         using RT = typename decltype(rtag)::type;
-        if constexpr (std::is_same_v<RT, std::string>) {
+        if constexpr (std::is_same_v<RT, StrCode>) {
           return Status::TypeMismatch("calc over strings");
         } else {
           AnySideReader<RT> rr(r->tail());
@@ -142,7 +142,7 @@ Result<BatPtr> CalcBinConst(BinOp op, const BatPtr& l, const Scalar& r) {
   double rv = rnil ? 0 : r.ToDouble();
   return VisitPhysical(lt, [&](auto ltag) -> Result<BatPtr> {
     using LT = typename decltype(ltag)::type;
-    if constexpr (std::is_same_v<LT, std::string>) {
+    if constexpr (std::is_same_v<LT, StrCode>) {
       return Status::TypeMismatch("calc over strings");
     } else {
       AnySideReader<LT> lr(l->tail());
@@ -166,7 +166,7 @@ Result<BatPtr> CalcConstBin(BinOp op, const Scalar& l, const BatPtr& r) {
   double lv = lnil ? 0 : l.ToDouble();
   return VisitPhysical(rt, [&](auto rtag) -> Result<BatPtr> {
     using RT = typename decltype(rtag)::type;
-    if constexpr (std::is_same_v<RT, std::string>) {
+    if constexpr (std::is_same_v<RT, StrCode>) {
       return Status::TypeMismatch("calc over strings");
     } else {
       AnySideReader<RT> rr(r->tail());
@@ -209,21 +209,31 @@ Result<BatPtr> CalcCmp(CmpOp op, const BatPtr& l, const BatPtr& r) {
   if (!detail::PhysCompatible(lt, rt))
     return Status::TypeMismatch("cmp type mismatch");
   size_t n = l->size();
-  return VisitPhysical(lt, [&](auto tag) -> Result<BatPtr> {
-    using T = typename decltype(tag)::type;
-    AnySideReader<T> lr(l->tail());
-    AnySideReader<T> rr(r->tail());
-    std::vector<int8_t> out(n);
+  std::vector<int8_t> out(n);
+  if (lt == TypeTag::kStr) {
+    const StrCode* a = l->tail().col->Data<StrCode>().data() + l->tail().offset;
+    const StrCode* b = r->tail().col->Data<StrCode>().data() + r->tail().offset;
+    const StringHeap& ha = *l->tail().col->heap();
+    const StringHeap& hb = *r->tail().col->heap();
     for (size_t i = 0; i < n; ++i) {
-      const T& a = lr[i];
-      const T& b = rr[i];
-      out[i] = (!IsNil(a) && !IsNil(b) && ApplyCmp<T>(op, a, b)) ? 1 : 0;
+      bool nil = IsNil(a[i]) || IsNil(b[i]);
+      out[i] = !nil && ApplyCmp(op, ha.Get(a[i]), hb.Get(b[i]));
     }
-    return Bat::Make(l->head(),
-                     BatSide::Materialized(
-                         Column::Make(TypeTag::kBit, std::move(out))),
-                     n);
-  });
+  } else {
+    detail::VisitFixedWidth(lt, [&](auto tag) {
+      using T = typename decltype(tag)::type;
+      AnySideReader<T> lr(l->tail());
+      AnySideReader<T> rr(r->tail());
+      for (size_t i = 0; i < n; ++i) {
+        const T& a = lr[i];
+        const T& b = rr[i];
+        out[i] = (!IsNil(a) && !IsNil(b) && ApplyCmp<T>(op, a, b)) ? 1 : 0;
+      }
+    });
+  }
+  return Bat::Make(
+      l->head(),
+      BatSide::Materialized(Column::Make(TypeTag::kBit, std::move(out))), n);
 }
 
 }  // namespace recycledb::engine

@@ -51,6 +51,38 @@ const T* RawSideArray(const BatSide& s, size_t n, std::vector<T>* tmp) {
   return tmp->data();
 }
 
+/// VisitPhysical for the fixed-width types, for callers that handle
+/// strings (codes into a heap) on a path of their own.
+template <typename F>
+decltype(auto) VisitFixedWidth(TypeTag tag, F&& f) {
+  return VisitPhysical(tag, [&](auto t) -> decltype(f(PhysTag<Oid>{})) {
+    if constexpr (std::is_same_v<typename decltype(t)::type, StrCode>) {
+      RDB_UNREACHABLE();
+    } else {
+      return f(t);
+    }
+  });
+}
+
+/// Brings two string code arrays into one heap so that equal strings have
+/// equal codes: when the sides' heaps differ, the side with the smaller
+/// heap is re-coded into the other's (a string the other heap lacks turns
+/// nil and matches nothing), and its pointer is redirected to `*tmp`.
+inline void ShareHeap(const BatSide& a, size_t an, const StrCode** acodes,
+                      const BatSide& b, size_t bn, const StrCode** bcodes,
+                      std::vector<StrCode>* tmp) {
+  const StringHeap& ha = *a.col->heap();
+  const StringHeap& hb = *b.col->heap();
+  if (&ha == &hb) return;
+  if (ha.size() <= hb.size()) {
+    *tmp = Recode(*acodes, an, ha, hb);
+    *acodes = tmp->data();
+  } else {
+    *tmp = Recode(*bcodes, bn, hb, ha);
+    *bcodes = tmp->data();
+  }
+}
+
 /// True iff the two logical types share a physical representation, so that
 /// typed operator code can treat them interchangeably.
 inline bool PhysCompatible(TypeTag a, TypeTag b) {

@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -31,7 +32,7 @@ Result<BatPtr> Kunique(const BatPtr& b) {
     AnySideReader<T> reader(head);
     size_t n = b->size();
     // insert() looks up before it allocates, so a duplicate costs a probe
-    // only.
+    // only. A string head has one heap, so its codes stand for its strings.
     std::unordered_set<T> seen(kInitialBuckets);
     SelVector sel;
     for (size_t i = 0; i < n; ++i) {
@@ -46,14 +47,50 @@ Result<BatPtr> Kunique(const BatPtr& b) {
 
 namespace {
 
+GroupResult MakeGroupResult(std::vector<Oid> map, std::vector<Oid> reps) {
+  GroupResult out;
+  out.map = Bat::DenseHead(Column::Make(TypeTag::kOid, std::move(map)));
+  auto reps_col = Column::Make(TypeTag::kOid, std::move(reps));
+  reps_col->set_key(true);
+  out.reps = Bat::DenseHead(std::move(reps_col));
+  return out;
+}
+
+/// Groups rows by a key from a small dense domain, `cell(i) < cells`,
+/// indexing a direct array instead of hashing.
+template <typename Cell>
+GroupResult DirectGroupBy(const BatPtr& keys, size_t cells, Cell cell) {
+  AnySideReader<Oid> heads(keys->head());
+  size_t n = keys->size();
+  constexpr Oid kUnseen = kNilOid;
+  std::vector<Oid> gid_of(cells, kUnseen);
+  std::vector<Oid> map(n);
+  std::vector<Oid> reps;
+  for (size_t i = 0; i < n; ++i) {
+    Oid& g = gid_of[cell(i)];
+    if (g == kUnseen) {
+      g = reps.size();
+      reps.push_back(heads[i]);
+    }
+    map[i] = g;
+  }
+  return MakeGroupResult(std::move(map), std::move(reps));
+}
+
 template <typename T>
 GroupResult GroupByTyped(const BatPtr& keys) {
   AnySideReader<Oid> heads(keys->head());
   size_t n = keys->size();
-  // Key reads hoisted to a raw array: materialised tails (in particular
-  // string tails) are read in place instead of copied per row.
+  // Key reads hoisted to a raw array: materialised tails are read in place
+  // instead of copied per row.
   std::vector<T> ktmp;
   const T* kv = RawSideArray<T>(keys->tail(), n, &ktmp);
+  if constexpr (std::is_same_v<T, StrCode>) {
+    // Equal strings have equal codes within the tail's one heap.
+    const size_t heap = keys->tail().col->heap()->size();
+    if (heap <= n)
+      return DirectGroupBy(keys, heap, [&](size_t i) { return kv[i].v; });
+  }
   // try_emplace builds a node only for a new group.
   std::unordered_map<T, Oid> groups(kInitialBuckets);
   std::vector<Oid> map;
@@ -65,12 +102,7 @@ GroupResult GroupByTyped(const BatPtr& keys) {
     if (fresh) reps.push_back(heads[i]);
     map.push_back(it->second);
   }
-  GroupResult out;
-  out.map = Bat::DenseHead(Column::Make(TypeTag::kOid, std::move(map)));
-  auto reps_col = Column::Make(TypeTag::kOid, std::move(reps));
-  reps_col->set_key(true);
-  out.reps = Bat::DenseHead(std::move(reps_col));
-  return out;
+  return MakeGroupResult(std::move(map), std::move(reps));
 }
 
 struct PairKey {
@@ -94,6 +126,17 @@ GroupResult SubGroupByTyped(const BatPtr& keys, const BatPtr& prev_map) {
   const T* kv = RawSideArray<T>(keys->tail(), n, &ktmp);
   std::vector<Oid> ptmp;
   const Oid* prev = RawSideArray<Oid>(prev_map->tail(), n, &ptmp);
+  if constexpr (std::is_same_v<T, StrCode>) {
+    // (previous gid, code) pairs index a direct array of
+    // groups x heap-size cells while it is no larger than the input.
+    const size_t heap = keys->tail().col->heap()->size();
+    Oid top = 0;  // a nil gid (never produced by grouping) rules it out
+    for (size_t i = 0; i < n; ++i) top = std::max(top, prev[i]);
+    if (top < n / heap) {
+      return DirectGroupBy(keys, (top + 1) * heap,
+                           [&](size_t i) { return prev[i] * heap + kv[i].v; });
+    }
+  }
   // Group on (previous gid, key value); to avoid per-type pair maps we key
   // on (gid, hash(value)) and verify values via a representative check.
   std::unordered_map<PairKey, Oid, PairKeyHash> groups(kInitialBuckets);
@@ -119,12 +162,7 @@ GroupResult SubGroupByTyped(const BatPtr& keys, const BatPtr& prev_map) {
       map.push_back(it->second);
     }
   }
-  GroupResult out;
-  out.map = Bat::DenseHead(Column::Make(TypeTag::kOid, std::move(map)));
-  auto reps_col = Column::Make(TypeTag::kOid, std::move(reps));
-  reps_col->set_key(true);
-  out.reps = Bat::DenseHead(std::move(reps_col));
-  return out;
+  return MakeGroupResult(std::move(map), std::move(reps));
 }
 
 }  // namespace

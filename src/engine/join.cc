@@ -60,12 +60,14 @@ Result<BatPtr> HashJoin(const BatPtr& l, const BatPtr& r) {
   const BatSide& rhead = r->head();
   const T* rdata = rhead.col->Data<T>().data() + rhead.offset;
   size_t rn = r->size();
-  HashIndexT<T> index(rdata, rn);
-
   const BatSide& ltail = l->tail();
   size_t ln = l->size();
   std::vector<T> tmp;
   const T* keys = RawSideArray<T>(ltail, ln, &tmp);
+  std::vector<StrCode> recoded;
+  if constexpr (std::is_same_v<T, StrCode>)
+    detail::ShareHeap(ltail, ln, &keys, rhead, rn, &rdata, &recoded);
+  HashIndexT<T> index(rdata, rn);
   SelVector sel_l, pos_r;
   if (rhead.col->key() && rn > 0) {
     // Unique inner: at most one match per probe, so the branch-free
@@ -112,12 +114,14 @@ Result<BatPtr> HashSemijoin(const BatPtr& l, const BatPtr& r, bool anti) {
   // for the positive case, but anti-joins still land here.
   std::vector<T> rvals;
   const T* rdata = RawSideArray<T>(rhead, rn, &rvals);
-  HashIndexT<T> index(rdata, rn);
-
   const BatSide& lhead = l->head();
   size_t ln = l->size();
   std::vector<T> tmp;
   const T* keys = RawSideArray<T>(lhead, ln, &tmp);
+  std::vector<StrCode> recoded;
+  if constexpr (std::is_same_v<T, StrCode>)
+    detail::ShareHeap(lhead, ln, &keys, rhead, rn, &rdata, &recoded);
+  HashIndexT<T> index(rdata, rn);
   std::vector<uint8_t> hits(ln);
   vec::BatchContains(index, keys, ln, hits.data());
 

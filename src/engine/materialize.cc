@@ -1,5 +1,8 @@
 #include "engine/materialize.h"
 
+#include <memory>
+
+#include "engine/detail.h"
 #include "util/check.h"
 
 namespace recycledb::engine {
@@ -35,7 +38,7 @@ BatSide TakeSide(const BatSide& side, size_t count, const SelVector& sel) {
     std::vector<T> out;
     out.reserve(sel.size());
     for (uint32_t i : sel) out.push_back(src[i]);
-    auto col = Column::Make(t, std::move(out));
+    auto col = Column::Make(t, std::move(out), side.col->heap());
     if (side.col->sorted()) col->set_sorted(IncreasingSel(sel));
     return BatSide::Materialized(std::move(col));
   });
@@ -49,12 +52,59 @@ BatSide SliceSide(const BatSide& side, size_t offset, size_t len) {
   return out;
 }
 
+namespace {
+
+/// Concatenated string codes of several sides, in one heap: the largest
+/// input heap, extended by a copy only when another input holds a string
+/// that heap lacks. Concatenating sides of different heaps is rare (a
+/// §6.3 delta after a commit that added strings), so those rows are looked
+/// up one by one.
+BatSide ConcatStrSides(const std::vector<const BatSide*>& sides,
+                       const std::vector<size_t>& counts) {
+  StringHeapPtr heap = sides[0]->col->heap();
+  for (const BatSide* s : sides) {
+    if (s->col->heap()->size() > heap->size()) heap = s->col->heap();
+  }
+  std::unique_ptr<StringHeapBuilder> extended;
+  std::vector<StrCode> out;
+  for (size_t k = 0; k < sides.size(); ++k) {
+    const StrCode* src = sides[k]->col->Data<StrCode>().data() +
+                         sides[k]->offset;
+    const StringHeap& from = *sides[k]->col->heap();
+    if (&from == heap.get()) {
+      out.insert(out.end(), src, src + counts[k]);
+      continue;
+    }
+    for (size_t i = 0; i < counts[k]; ++i) {
+      std::string_view str = from.Get(src[i]);
+      StrCode c;
+      if (extended == nullptr && !heap->Find(str, &c))
+        extended = std::make_unique<StringHeapBuilder>(*heap);
+      out.push_back(extended != nullptr ? extended->Intern(str) : c);
+    }
+  }
+  if (extended != nullptr) heap = extended->Finish();
+  return BatSide::Materialized(
+      Column::Make(TypeTag::kStr, std::move(out), std::move(heap)));
+}
+
+}  // namespace
+
 BatSide ConcatSides(const std::vector<const Bat*>& bats, bool head_side) {
   RDB_CHECK(!bats.empty());
   const BatSide& first =
       head_side ? bats[0]->head() : bats[0]->tail();
   TypeTag t = first.LogicalType();
-  return VisitPhysical(t, [&](auto tag) -> BatSide {
+  if (t == TypeTag::kStr) {
+    std::vector<const BatSide*> sides;
+    std::vector<size_t> counts;
+    for (const Bat* b : bats) {
+      sides.push_back(head_side ? &b->head() : &b->tail());
+      counts.push_back(b->size());
+    }
+    return ConcatStrSides(sides, counts);
+  }
+  return detail::VisitFixedWidth(t, [&](auto tag) -> BatSide {
     using T = typename decltype(tag)::type;
     std::vector<T> out;
     size_t total = 0;

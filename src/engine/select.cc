@@ -11,6 +11,7 @@ namespace recycledb::engine {
 
 using detail::AnySideReader;
 using detail::PhysCompatible;
+using detail::VisitFixedWidth;
 
 namespace {
 
@@ -23,32 +24,38 @@ constexpr bool NilSortsHigh() {
 }
 
 /// Binary-search range selection over a sorted materialised tail. Returns
-/// a zero-copy view of the qualifying run.
-template <typename T>
-BatPtr SortedRangeSelect(const BatPtr& b, bool has_lo, const T& lov,
-                         bool has_hi, const T& hiv, bool lo_inc, bool hi_inc) {
+/// a zero-copy view of the qualifying run. `proj` maps a stored value to
+/// the key it sorts by (a string code to its string).
+template <typename T, typename K, typename Proj>
+BatPtr SortedRangeSelect(const BatPtr& b, bool has_lo, const K& lov,
+                         bool has_hi, const K& hiv, bool lo_inc, bool hi_inc,
+                         Proj proj) {
   const BatSide& tail = b->tail();
   const T* data = tail.col->Data<T>().data() + tail.offset;
   size_t n = b->size();
+  auto below = [&](const T& v, const K& k) { return proj(v) < k; };
+  auto above = [&](const K& k, const T& v) { return k < proj(v); };
   const T* begin;
   if (has_lo) {
-    begin = lo_inc ? std::lower_bound(data, data + n, lov)
-                   : std::upper_bound(data, data + n, lov);
+    begin = lo_inc ? std::lower_bound(data, data + n, lov, below)
+                   : std::upper_bound(data, data + n, lov, above);
   } else if (NilSortsHigh<T>()) {
     begin = data;  // nils sort last here; the end side clips them
   } else {
     // Unbounded from below still excludes nils, which sort lowest.
-    begin = std::upper_bound(data, data + n, NilOf<T>());
+    begin = std::upper_bound(data, data + n, K(proj(NilOf<T>())), above);
   }
   const T* end;
   if (has_hi) {
-    end = hi_inc ? std::upper_bound(data, data + n, hiv)
-                 : std::lower_bound(data, data + n, hiv);
-    if (NilSortsHigh<T>() && hiv == NilOf<T>())
-      end = std::lower_bound(data, data + n, hiv);  // never admit nils
+    end = hi_inc ? std::upper_bound(data, data + n, hiv, above)
+                 : std::lower_bound(data, data + n, hiv, below);
+    if constexpr (NilSortsHigh<T>()) {
+      if (hiv == NilOf<T>())
+        end = std::lower_bound(data, data + n, hiv);  // never admit nils
+    }
   } else if (NilSortsHigh<T>()) {
     // Unbounded from above: the max-sentinel nils are the tail of the run.
-    end = std::lower_bound(data, data + n, NilOf<T>());
+    end = std::lower_bound(data, data + n, K(proj(NilOf<T>())), below);
   } else {
     end = data + n;
   }
@@ -80,6 +87,40 @@ BatPtr ScanRangeSelect(const BatPtr& b, bool has_lo, const T& lov, bool has_hi,
   vec::RangeBits(data, n, has_lo, lov, has_hi, hiv, lo_inc, hi_inc,
                  bits.data());
   return GatherBits(b, bits);
+}
+
+/// Selects the rows of a string tail whose (non-nil) string passes `pred`.
+template <typename Pred>
+BatPtr StrPredSelect(const BatPtr& b, Pred pred) {
+  const BatSide& tail = b->tail();
+  const StringHeap& heap = *tail.col->heap();
+  const StrCode* codes = tail.col->Data<StrCode>().data() + tail.offset;
+  size_t n = b->size();
+  std::vector<uint64_t> bits(vec::BitmapWords(n));
+  vec::PredBits(codes, n, bits.data(), [&](StrCode c) -> bool {
+    return !IsNil(c) && pred(heap.Get(c));
+  });
+  return GatherBits(b, bits);
+}
+
+/// Range select over a string tail, comparing each row's string.
+BatPtr StrSelect(const BatPtr& b, const Scalar& lo, const Scalar& hi,
+                 bool lo_inc, bool hi_inc) {
+  const BatSide& tail = b->tail();
+  const StringHeap& heap = *tail.col->heap();
+  const bool has_lo = !lo.is_nil(), has_hi = !hi.is_nil();
+  const std::string_view lov = has_lo ? lo.AsStr() : std::string_view();
+  const std::string_view hiv = has_hi ? hi.AsStr() : std::string_view();
+  if (tail.col->sorted()) {
+    return SortedRangeSelect<StrCode, std::string_view>(
+        b, has_lo, lov, has_hi, hiv, lo_inc, hi_inc,
+        [&](StrCode c) { return heap.Get(c); });
+  }
+  return StrPredSelect(b, [&](std::string_view v) {
+    bool oklo = !has_lo || (lo_inc ? !(v < lov) : lov < v);
+    bool okhi = !has_hi || (hi_inc ? !(hiv < v) : v < hiv);
+    return oklo && okhi;
+  });
 }
 
 }  // namespace
@@ -120,12 +161,14 @@ Result<BatPtr> Select(const BatPtr& b, const Scalar& lo, const Scalar& hi,
                      SliceSide(tail, off, len), len);
   }
 
-  return VisitPhysical(t, [&](auto tag) -> Result<BatPtr> {
+  if (t == TypeTag::kStr) return StrSelect(b, lo, hi, lo_inc, hi_inc);
+  return VisitFixedWidth(t, [&](auto tag) -> Result<BatPtr> {
     using T = typename decltype(tag)::type;
     T lov = has_lo ? lo.Get<T>() : T{};
     T hiv = has_hi ? hi.Get<T>() : T{};
     if (tail.col->sorted()) {
-      return SortedRangeSelect<T>(b, has_lo, lov, has_hi, hiv, lo_inc, hi_inc);
+      return SortedRangeSelect<T, T>(b, has_lo, lov, has_hi, hiv, lo_inc,
+                                     hi_inc, [](const T& v) { return v; });
     }
     return ScanRangeSelect<T>(b, has_lo, lov, has_hi, hiv, lo_inc, hi_inc);
   });
@@ -142,7 +185,18 @@ Result<BatPtr> AntiUselect(const BatPtr& b, const Scalar& v) {
   TypeTag t = tail.LogicalType();
   if (!PhysCompatible(v.tag(), t))
     return Status::TypeMismatch("anti-uselect value type mismatch");
-  return VisitPhysical(t, [&](auto tag) -> Result<BatPtr> {
+  if (t == TypeTag::kStr) {
+    // A string the heap lacks becomes the nil code, which NotEqBits never
+    // lets through anyway: every non-nil row qualifies.
+    StrCode key;
+    if (!tail.col->heap()->Find(v.AsStr(), &key)) key = StrCode{};
+    size_t n = b->size();
+    const StrCode* data = tail.col->Data<StrCode>().data() + tail.offset;
+    std::vector<uint64_t> bits(vec::BitmapWords(n));
+    vec::NotEqBits(data, n, key, bits.data());
+    return GatherBits(b, bits);
+  }
+  return VisitFixedWidth(t, [&](auto tag) -> Result<BatPtr> {
     using T = typename decltype(tag)::type;
     const T& key = v.Get<T>();
     size_t n = b->size();
@@ -172,19 +226,10 @@ Result<BatPtr> LikeSelect(const BatPtr& b, const std::string& pattern) {
   const BatSide& tail = b->tail();
   if (tail.LogicalType() != TypeTag::kStr)
     return Status::TypeMismatch("likeselect on non-string tail");
-  size_t n = b->size();
   // Satellite of the vectorised rewrite: the pattern is preprocessed ONCE
   // per call (shape classification + literal extraction), not per row.
   LikePattern pat(pattern);
-  const std::string* data = tail.col->Data<std::string>().data() + tail.offset;
-  std::vector<uint64_t> bits(vec::BitmapWords(n));
-  vec::PredBits(data, n, bits.data(), [&](const std::string& s) -> bool {
-    return !s.empty() && pat.Match(s);
-  });
-  SelVector sel;
-  vec::BitsToSel(bits.data(), n, &sel);
-  return Bat::Make(TakeSide(b->head(), n, sel), TakeSide(tail, n, sel),
-                   sel.size());
+  return StrPredSelect(b, [&](std::string_view s) { return pat.Match(s); });
 }
 
 Result<BatPtr> SelectNotNil(const BatPtr& b) {

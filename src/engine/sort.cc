@@ -9,6 +9,40 @@ namespace recycledb::engine {
 
 using detail::AnySideReader;
 
+namespace {
+
+/// Stable row order of a string tail by content.
+SelVector StrOrder(const BatSide& tail, size_t n, bool desc) {
+  const StringHeap& heap = *tail.col->heap();
+  const StrCode* codes = tail.col->Data<StrCode>().data() + tail.offset;
+  SelVector sel(n);
+  std::iota(sel.begin(), sel.end(), 0u);
+  std::stable_sort(sel.begin(), sel.end(), [&](uint32_t a, uint32_t c) {
+    std::string_view x = heap.Get(codes[a]), y = heap.Get(codes[c]);
+    return desc ? y < x : x < y;
+  });
+  return sel;
+}
+
+/// Stable row order of `tail`, ascending or descending. Descending keeps
+/// ties in their input order rather than reversing them, which is what SQL
+/// implementations conventionally produce for ORDER BY ... DESC.
+SelVector Order(const BatSide& tail, size_t n, bool desc) {
+  if (tail.LogicalType() == TypeTag::kStr) return StrOrder(tail, n, desc);
+  return detail::VisitFixedWidth(tail.LogicalType(), [&](auto tag) {
+    using T = typename decltype(tag)::type;
+    AnySideReader<T> reader(tail);
+    SelVector sel(n);
+    std::iota(sel.begin(), sel.end(), 0u);
+    std::stable_sort(sel.begin(), sel.end(), [&](uint32_t a, uint32_t c) {
+      return desc ? reader[c] < reader[a] : reader[a] < reader[c];
+    });
+    return sel;
+  });
+}
+
+}  // namespace
+
 Result<BatPtr> SortTail(const BatPtr& b) {
   const BatSide& tail = b->tail();
   size_t n = b->size();
@@ -16,40 +50,17 @@ Result<BatPtr> SortTail(const BatPtr& b) {
                        tail.offset == 0 && n == tail.col->size())) {
     return b;  // already ordered
   }
-  TypeTag t = tail.LogicalType();
-  return VisitPhysical(t, [&](auto tag) -> Result<BatPtr> {
-    using T = typename decltype(tag)::type;
-    AnySideReader<T> reader(tail);
-    SelVector sel(n);
-    std::iota(sel.begin(), sel.end(), 0u);
-    std::stable_sort(sel.begin(), sel.end(), [&](uint32_t a, uint32_t c) {
-      return reader[a] < reader[c];
-    });
-    BatSide new_tail = TakeSide(tail, n, sel);
-    if (!new_tail.dense()) {
-      const_cast<Column*>(new_tail.col.get())->set_sorted(true);
-    }
-    return Bat::Make(TakeSide(b->head(), n, sel), std::move(new_tail), n);
-  });
+  SelVector sel = Order(tail, n, /*desc=*/false);
+  BatSide new_tail = TakeSide(tail, n, sel);
+  const_cast<Column*>(new_tail.col.get())->set_sorted(true);
+  return Bat::Make(TakeSide(b->head(), n, sel), std::move(new_tail), n);
 }
 
 Result<BatPtr> SortTailRev(const BatPtr& b) {
   const BatSide& tail = b->tail();
   size_t n = b->size();
-  TypeTag t = tail.LogicalType();
-  return VisitPhysical(t, [&](auto tag) -> Result<BatPtr> {
-    using T = typename decltype(tag)::type;
-    AnySideReader<T> reader(tail);
-    SelVector sel(n);
-    std::iota(sel.begin(), sel.end(), 0u);
-    // Stable on the ORIGINAL order (like SortTail): ties keep their input
-    // order rather than being reversed, which is what SQL implementations
-    // conventionally produce for ORDER BY ... DESC.
-    std::stable_sort(sel.begin(), sel.end(), [&](uint32_t a, uint32_t c) {
-      return reader[c] < reader[a];
-    });
-    return Bat::Make(TakeSide(b->head(), n, sel), TakeSide(tail, n, sel), n);
-  });
+  SelVector sel = Order(tail, n, /*desc=*/true);
+  return Bat::Make(TakeSide(b->head(), n, sel), TakeSide(tail, n, sel), n);
 }
 
 Result<BatPtr> Concat(const std::vector<BatPtr>& bats) {

@@ -96,9 +96,9 @@ void PutU64(std::string* out, uint64_t v) {
     out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
 }
 
-void PutString(std::string* out, const std::string& s) {
+void PutString(std::string* out, std::string_view s) {
   PutU32(out, static_cast<uint32_t>(s.size()));
-  out->append(s);
+  out->append(s.data(), s.size());
 }
 
 Status GetU8(Cursor* c, uint8_t* v) {
@@ -402,6 +402,7 @@ void EncodeSide(std::string* out, const BatSide& side, size_t count) {
   VisitPhysical(side.type, [&](auto tag) {
     using T = typename decltype(tag)::type;
     const T* data = side.col->Data<T>().data() + side.offset;
+    [[maybe_unused]] const StringHeap* heap = side.col->heap().get();
     for (size_t i = 0; i < count; ++i) {
       if constexpr (std::is_same_v<T, int8_t>) {
         PutU8(out, static_cast<uint8_t>(data[i]));
@@ -414,7 +415,7 @@ void EncodeSide(std::string* out, const BatSide& side, size_t count) {
       } else if constexpr (std::is_same_v<T, double>) {
         PutU64(out, DblBits(data[i]));
       } else {
-        PutString(out, data[i]);
+        PutString(out, heap->Get(data[i]));  // strings leave the heap here
       }
     }
   });
@@ -435,7 +436,7 @@ Result<BatSide> DecodeSide(Cursor* c, size_t count) {
     return Status::InvalidArgument("materialised side cannot be :void");
   return VisitPhysical(tag, [&](auto t) -> Result<BatSide> {
     using T = typename decltype(t)::type;
-    if constexpr (!std::is_same_v<T, std::string>) {
+    if constexpr (!std::is_same_v<T, StrCode>) {
       // Reject a corrupt count before allocating for it. Divide rather
       // than multiply: count * elem can wrap for an adversarial count
       // (e.g. 0x2000000000000001 * 8 == 8) and sail past the check into
@@ -472,15 +473,18 @@ Result<BatSide> DecodeSide(Cursor* c, size_t count) {
       }
       return BatSide::Materialized(Column::Make<T>(tag, std::move(vals)));
     } else {
-      std::vector<std::string> vals;
-      vals.reserve(count < c->Remaining() ? count : c->Remaining());
+      // Each string carries at least its u32 length.
+      if (count > c->Remaining() / 4) return Truncated("column strings");
+      StringHeapBuilder heap;
+      std::vector<StrCode> codes;
+      codes.reserve(count);
+      std::string s;
       for (size_t i = 0; i < count; ++i) {
-        std::string s;
         RDB_RETURN_NOT_OK(GetString(c, &s));
-        vals.push_back(std::move(s));
+        codes.push_back(heap.Intern(s));
       }
-      return BatSide::Materialized(Column::Make<std::string>(
-          TypeTag::kStr, std::move(vals)));
+      auto col = Column::Make(TypeTag::kStr, std::move(codes), heap.Finish());
+      return BatSide::Materialized(std::move(col));
     }
   });
 }

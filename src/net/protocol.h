@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "interp/query_result.h"
@@ -130,7 +131,7 @@ class FrameDecoder {
 void PutU8(std::string* out, uint8_t v);
 void PutU32(std::string* out, uint32_t v);
 void PutU64(std::string* out, uint64_t v);
-void PutString(std::string* out, const std::string& s);
+void PutString(std::string* out, std::string_view s);
 
 struct Cursor {
   const std::string* data;

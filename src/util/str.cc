@@ -22,7 +22,7 @@ std::string StrFormat(const char* fmt, ...) {
   return out;
 }
 
-bool LikeMatch(const std::string& value, const std::string& pattern) {
+bool LikeMatch(std::string_view value, const std::string& pattern) {
   // Iterative two-pointer wildcard matching: linear in |value| + |pattern|
   // with backtracking to the last '%'.
   size_t v = 0, p = 0;
@@ -67,7 +67,7 @@ LikePattern::LikePattern(std::string pattern) : pattern_(std::move(pattern)) {
                 : (trail ? Shape::kPrefix : Shape::kExact);
 }
 
-bool LikePattern::Match(const std::string& value) const {
+bool LikePattern::Match(std::string_view value) const {
   switch (shape_) {
     case Shape::kAny:
       return true;

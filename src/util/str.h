@@ -3,6 +3,7 @@
 
 #include <cstdarg>
 #include <string>
+#include <string_view>
 
 namespace recycledb {
 
@@ -11,7 +12,7 @@ std::string StrFormat(const char* fmt, ...) __attribute__((format(printf, 1, 2))
 
 /// SQL LIKE pattern match with '%' (any run) and '_' (any single char).
 /// No escape-character support; the workloads do not use escapes.
-bool LikeMatch(const std::string& value, const std::string& pattern);
+bool LikeMatch(std::string_view value, const std::string& pattern);
 
 /// A LIKE pattern preprocessed once and matched many times: classification
 /// happens at construction (LikeSelect compiles one per call instead of
@@ -22,7 +23,7 @@ class LikePattern {
  public:
   explicit LikePattern(std::string pattern);
 
-  bool Match(const std::string& value) const;
+  bool Match(std::string_view value) const;
 
  private:
   enum class Shape {

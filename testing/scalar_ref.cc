@@ -10,6 +10,29 @@ namespace recycledb::engine::scalar_ref {
 using detail::AnySideReader;
 using detail::PhysCompatible;
 
+namespace {
+
+/// The plain value type of physical type T: strings leave their heap, so
+/// the reference loops compare string content, never codes.
+template <typename T>
+using RefT = std::conditional_t<std::is_same_v<T, StrCode>, std::string, T>;
+
+template <typename T>
+std::vector<RefT<T>> RefValues(const BatSide& s, size_t n) {
+  AnySideReader<T> reader(s);
+  std::vector<RefT<T>> out(n);
+  for (size_t i = 0; i < n; ++i) {
+    if constexpr (std::is_same_v<T, StrCode>) {
+      out[i] = std::string(s.col->heap()->Get(reader[i]));
+    } else {
+      out[i] = reader[i];
+    }
+  }
+  return out;
+}
+
+}  // namespace
+
 Result<BatPtr> ScanRangeSelect(const BatPtr& b, const Scalar& lo,
                                const Scalar& hi, bool lo_inc, bool hi_inc) {
   const BatSide& tail = b->tail();
@@ -22,13 +45,14 @@ Result<BatPtr> ScanRangeSelect(const BatPtr& b, const Scalar& lo,
     return Status::TypeMismatch("scalar_ref select bound type mismatch");
   return VisitPhysical(t, [&](auto tag) -> Result<BatPtr> {
     using T = typename decltype(tag)::type;
-    T lov = has_lo ? lo.Get<T>() : T{};
-    T hiv = has_hi ? hi.Get<T>() : T{};
-    AnySideReader<T> reader(tail);
+    using V = RefT<T>;
+    V lov = has_lo ? lo.Get<V>() : V{};
+    V hiv = has_hi ? hi.Get<V>() : V{};
     size_t n = b->size();
+    const std::vector<V> vals = RefValues<T>(tail, n);
     SelVector sel;
     for (size_t i = 0; i < n; ++i) {
-      const T& v = reader[i];
+      const V& v = vals[i];
       if (IsNil(v)) continue;
       if (has_lo) {
         if (lo_inc ? v < lov : !(lov < v)) continue;
@@ -50,15 +74,15 @@ Result<BatPtr> HashJoin(const BatPtr& l, const BatPtr& r) {
     return Status::TypeMismatch("scalar_ref hash join inputs");
   return VisitPhysical(rt, [&](auto tag) -> Result<BatPtr> {
     using T = typename decltype(tag)::type;
-    const BatSide& rhead = r->head();
-    const T* rdata = rhead.col->Data<T>().data() + rhead.offset;
+    using V = RefT<T>;
     size_t rn = r->size();
-    HashIndexT<T> index(rdata, rn);
-    AnySideReader<T> lreader(l->tail());
+    const std::vector<V> rvals = RefValues<T>(r->head(), rn);
+    HashIndexT<V> index(rvals.data(), rn);
     size_t ln = l->size();
+    const std::vector<V> lvals = RefValues<T>(l->tail(), ln);
     SelVector sel_l, pos_r;
     for (size_t i = 0; i < ln; ++i) {
-      const T& v = lreader[i];
+      const V& v = lvals[i];
       index.ForEachMatch(v, [&](uint32_t j) {
         sel_l.push_back(static_cast<uint32_t>(i));
         pos_r.push_back(j);
@@ -84,7 +108,7 @@ Result<BatPtr> GroupedAggr(AggFn fn, const BatPtr& vals, const BatPtr& map,
       for (size_t i = 0; i < n; ++i) ++cnt[greader[i]];
       return Bat::DenseHead(Column::Make(TypeTag::kLng, std::move(cnt)));
     }
-    if constexpr (std::is_same_v<T, std::string>) {
+    if constexpr (std::is_same_v<T, StrCode>) {
       return Status::TypeMismatch("grouped numeric aggregate over strings");
     } else {
       switch (fn) {
@@ -142,8 +166,8 @@ Result<BatPtr> LikeSelect(const BatPtr& b, const std::string& pattern) {
   const BatSide& tail = b->tail();
   if (tail.LogicalType() != TypeTag::kStr)
     return Status::TypeMismatch("likeselect on non-string tail");
-  const std::string* data = tail.col->Data<std::string>().data() + tail.offset;
   size_t n = b->size();
+  const std::vector<std::string> data = RefValues<StrCode>(tail, n);
   SelVector sel;
   for (size_t i = 0; i < n; ++i) {
     if (!data[i].empty() && LikeMatch(data[i], pattern))

@@ -69,8 +69,12 @@ TEST(ColumnTest, MemoryBytes) {
   auto col = Column::Make(TypeTag::kLng, std::vector<int64_t>(100, 1));
   EXPECT_GE(col->MemoryBytes(), 100 * sizeof(int64_t));
   auto scol = Column::Make(TypeTag::kStr,
-                           std::vector<std::string>{"aaaa", "bbbb"});
-  EXPECT_GT(scol->MemoryBytes(), 2 * sizeof(std::string));
+                           std::vector<std::string>{"aaaa", "bbbb", "aaaa"});
+  // A string column charges its codes only; its deduplicated heap ("",
+  // "aaaa", "bbbb") is shared and charged once, to its catalog column.
+  EXPECT_EQ(scol->MemoryBytes(), 3 * sizeof(StrCode));
+  EXPECT_EQ(scol->heap()->size(), 3u);
+  EXPECT_GE(scol->heap()->MemoryBytes(), 8u);
 }
 
 TEST(ColumnTest, GetScalar) {

@@ -374,6 +374,24 @@ TEST(NetResultSetTest, TruncatedAndCorruptPayloadsFailClean) {
   lying += std::string(64, '\0');        // ...but only 64 bytes follow
   EXPECT_FALSE(DecodeResultSet(lying).ok());
 
+  // The same for strings: each carries at least its u32 length, so a count
+  // beyond a quarter of the remaining bytes is refused before the decoder
+  // allocates anything for it (not after reserving a slot per byte).
+  std::string lying_strs;
+  PutU32(&lying_strs, 1);
+  PutString(&lying_strs, "names");
+  PutU8(&lying_strs, 1);          // is_bat
+  PutU64(&lying_strs, 1u << 20);  // claims 2^20 rows
+  PutU8(&lying_strs, 1);          // head: dense
+  PutU64(&lying_strs, 0);
+  PutU8(&lying_strs, 0);  // tail: materialised
+  PutU8(&lying_strs, static_cast<uint8_t>(TypeTag::kStr));
+  lying_strs += std::string(4096, '\0');  // 1,024 empty strings at most
+  auto refused = DecodeResultSet(lying_strs);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_NE(refused.status().message().find("column strings"),
+            std::string::npos);
+
   // An unknown type tag is rejected.
   std::string badtag;
   PutU32(&badtag, 1);

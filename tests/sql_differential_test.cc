@@ -12,6 +12,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <memory>
 #include <set>
 #include <string>
@@ -118,11 +120,11 @@ Scalar AsValue(const sql::Literal& lit, TypeTag t) {
   return Scalar();
 }
 
-/// The rows of the base table that the statement's WHERE keeps, counted
-/// one row at a time. A column of a joined table is read through the FK
+/// The rows of the base table that the statement's WHERE keeps, found one
+/// row at a time. A column of a joined table is read through the FK
 /// indexes (lineitem -> orders -> customer), and an inner join drops rows
 /// whose hop is nil.
-int64_t OracleCount(Catalog* cat, const std::string& text) {
+std::vector<size_t> OracleRows(Catalog* cat, const std::string& text) {
   sql::SelectStmt stmt = sql::ParseSelect(text).ValueOrDie();
   // tables[d] is the d-th table of the join chain; hops[d - 1] maps its
   // child's rows to its rows.
@@ -143,7 +145,7 @@ int64_t OracleCount(Catalog* cat, const std::string& text) {
     cols.push_back(cat->BindColumn(tables[d], p.col.column).ValueOrDie());
   }
   std::vector<size_t> rows(tables.size());
-  int64_t n = 0;
+  std::vector<size_t> kept;
   for (size_t r = 0; r < cat->FindTable(stmt.table)->num_rows(); ++r) {
     bool keep = true;
     rows[0] = r;
@@ -192,9 +194,63 @@ int64_t OracleCount(Catalog* cat, const std::string& text) {
           break;
       }
     }
-    n += keep;
+    if (keep) kept.push_back(r);
   }
-  return n;
+  return kept;
+}
+
+int64_t OracleCount(Catalog* cat, const std::string& text) {
+  return static_cast<int64_t>(OracleRows(cat, text).size());
+}
+
+/// Checks a `select a, b, count(*), sum(c) ... group by a, b` over one
+/// table against a row-at-a-time grouping of the oracle's rows.
+void CheckGroupOracle(Catalog* cat, const std::string& text,
+                      const QueryResult& got) {
+  sql::SelectStmt stmt = sql::ParseSelect(text).ValueOrDie();
+  ASSERT_EQ(stmt.group_by.size(), 2u) << text;
+  auto col = [&](const std::string& name) {
+    return cat->BindColumn(stmt.table, name).ValueOrDie();
+  };
+  BatPtr k1 = col(stmt.group_by[0].column), k2 = col(stmt.group_by[1].column);
+  BatPtr qty = col("l_quantity");
+  std::map<std::pair<std::string, std::string>, std::pair<int64_t, int64_t>>
+      want;
+  for (size_t r : OracleRows(cat, text)) {
+    auto& g = want[{k1->TailAt(r).AsStr(), k2->TailAt(r).AsStr()}];
+    ++g.first;
+    g.second += qty->TailAt(r).AsInt();
+  }
+  std::map<std::pair<std::string, std::string>, std::pair<int64_t, int64_t>>
+      have;
+  BatPtr g1 = got.Find(stmt.group_by[0].column)->bat();
+  BatPtr g2 = got.Find(stmt.group_by[1].column)->bat();
+  BatPtr cnt = got.Find("count")->bat();
+  BatPtr sum = got.Find("sum_l_quantity")->bat();
+  for (size_t i = 0; i < g1->size(); ++i) {
+    have[{g1->TailAt(i).AsStr(), g2->TailAt(i).AsStr()}] = {
+        cnt->TailAt(i).AsLng(), sum->TailAt(i).AsLng()};
+  }
+  EXPECT_EQ(have, want) << text;
+}
+
+/// Checks a `select s from t where ... order by s [desc] limit k` over a
+/// string column: the returned sequence is the oracle's strings, sorted,
+/// cut at k.
+void CheckOrderOracle(Catalog* cat, const std::string& text,
+                      const QueryResult& got) {
+  sql::SelectStmt stmt = sql::ParseSelect(text).ValueOrDie();
+  BatPtr c = cat->BindColumn(stmt.table, stmt.order_by.name).ValueOrDie();
+  std::vector<std::string> want;
+  for (size_t r : OracleRows(cat, text)) want.push_back(c->TailAt(r).AsStr());
+  std::sort(want.begin(), want.end());
+  if (!stmt.order_by.asc) std::reverse(want.begin(), want.end());
+  if (stmt.limit >= 0 && want.size() > static_cast<size_t>(stmt.limit))
+    want.resize(static_cast<size_t>(stmt.limit));
+  BatPtr b = got.Find(stmt.order_by.name)->bat();
+  std::vector<std::string> have;
+  for (size_t i = 0; i < b->size(); ++i) have.push_back(b->TailAt(i).AsStr());
+  EXPECT_EQ(have, want) << text;
 }
 
 const char* const kJoin =
@@ -207,8 +263,9 @@ std::string Day(DateT d) { return "date '" + DateToString(d) + "'"; }
 /// the same kinds of range as BETWEEN, in reversed order and with
 /// strict/inclusive mixes, an inverted range, a duplicate same-side bound,
 /// `<>` and NOT LIKE on orders columns through the join, predicates two
-/// hops away on customer, and bounds on different columns that must not
-/// fold together.
+/// hops away on customer, bounds on different columns that must not fold
+/// together, and string predicates, a two-string GROUP BY and ORDER BY on
+/// strings, which the oracles check independently of the string kernels.
 std::string Statement(int p, Rng& rng) {
   if (p < perfbench::kNumPatterns) return perfbench::FreshStatement(p, rng);
   const DateT kLo = DateFromYmd(1992, 1, 1);
@@ -264,6 +321,44 @@ std::string Statement(int p, Rng& rng) {
           rng.Bernoulli(0.5) ? "BUILDING" : "MACHINERY", gt,
           rng.UniformDouble(-1000.0, 4000.0), lt, Day(to).c_str(), lt,
           rng.UniformDouble(4000.0, 10000.0));
+    case 13:
+      return StrFormat(
+          "select count(*) from lineitem where l_returnflag = '%s' and "
+          "l_shipdate %s %s",
+          rng.Bernoulli(0.5) ? "R" : (rng.Bernoulli(0.5) ? "N" : "X"), lt,
+          Day(to).c_str());
+    case 14: {
+      static const char* const kModes[] = {"AIR",  "FOB",     "MAIL", "RAIL",
+                                           "REG",  "REG AIR", "SHIP", "TRUCK",
+                                           "ZZZ"};
+      const char* a = kModes[rng.Uniform(9)];
+      const char* b = kModes[rng.Uniform(9)];
+      return StrFormat(
+          "select count(*) from lineitem where l_shipmode between '%s' and "
+          "'%s' and l_quantity %s %d",
+          a, b, gt, static_cast<int>(rng.UniformRange(5, 40)));
+    }
+    case 15: {
+      static const char* const kWords[] = {"special", "requests", "pinto",
+                                           "foxes",   "quick",    "zebra"};
+      return StrFormat("%so_comment like '%%%s%%' and o_orderdate %s %s", kJoin,
+                       kWords[rng.Uniform(6)], gt, Day(from).c_str());
+    }
+    case 16:  // Q1-shaped: two string group keys
+      return StrFormat(
+          "select l_returnflag, l_linestatus, count(*), sum(l_quantity) from "
+          "lineitem where l_shipdate %s %s group by l_returnflag, "
+          "l_linestatus",
+          lt, Day(to).c_str());
+    case 17: {
+      const char* c = rng.Bernoulli(0.5) ? "o_comment" : "o_orderpriority";
+      return StrFormat(
+          "select %s from orders where o_orderdate between %s and %s order "
+          "by %s%s limit %d",
+          c, Day(from).c_str(), Day(to).c_str(), c,
+          rng.Bernoulli(0.5) ? "" : " desc",
+          static_cast<int>(rng.UniformRange(1, 60)));
+    }
     default:  // one-sided bounds on different columns stay apart
       return StrFormat(
           "select count(*), sum(l_extendedprice) from lineitem where "
@@ -275,7 +370,7 @@ std::string Statement(int p, Rng& rng) {
   }
 }
 
-constexpr int kPatterns = 13;
+constexpr int kPatterns = 18;
 
 TEST(SqlDifferentialTest, FoldedAndParentSidePlansMatchAPlainInterpreter) {
   Catalog cat;
@@ -313,6 +408,8 @@ TEST(SqlDifferentialTest, FoldedAndParentSidePlansMatchAPlainInterpreter) {
     const perfbench::Answer& ref = want.value();
     if (ref.rows.size() == 1 && ref.labels[0] == "count")
       EXPECT_EQ(ref.rows[0][0].i, OracleCount(&cat, sql)) << sql;
+    if (i % kPatterns == 16) CheckGroupOracle(&cat, sql, got.value());
+    if (i % kPatterns == 17) CheckOrderOracle(&cat, sql, got.value());
 
     for (const auto& edge : svc.recycler().SubsetEdges()) {
       if (checked.count(edge) != 0) continue;
