@@ -40,8 +40,7 @@ Result<BatPtr> Kunique(const BatPtr& b) {
         sel.push_back(static_cast<uint32_t>(i));
     }
     if (sel.size() == n) return b;
-    return Bat::Make(TakeSide(head, n, sel), TakeSide(b->tail(), n, sel),
-                     sel.size());
+    return Bat::Make(TakeSide(head, sel), TakeSide(b->tail(), sel), sel.size());
   });
 }
 
@@ -93,14 +92,13 @@ GroupResult GroupByTyped(const BatPtr& keys) {
   }
   // try_emplace builds a node only for a new group.
   std::unordered_map<T, Oid> groups(kInitialBuckets);
-  std::vector<Oid> map;
-  map.reserve(n);
+  std::vector<Oid> map(n);
   std::vector<Oid> reps;
   for (size_t i = 0; i < n; ++i) {
     auto [it, fresh] =
         groups.try_emplace(kv[i], static_cast<Oid>(groups.size()));
     if (fresh) reps.push_back(heads[i]);
-    map.push_back(it->second);
+    map[i] = it->second;
   }
   return MakeGroupResult(std::move(map), std::move(reps));
 }
@@ -141,8 +139,7 @@ GroupResult SubGroupByTyped(const BatPtr& keys, const BatPtr& prev_map) {
   // on (gid, hash(value)) and verify values via a representative check.
   std::unordered_map<PairKey, Oid, PairKeyHash> groups(kInitialBuckets);
   std::vector<uint32_t> first_row;  // representative row per new gid
-  std::vector<Oid> map;
-  map.reserve(n);
+  std::vector<Oid> map(n);
   std::vector<Oid> reps;
   for (size_t i = 0; i < n; ++i) {
     PairKey k{prev[i], std::hash<T>()(kv[i])};
@@ -157,9 +154,9 @@ GroupResult SubGroupByTyped(const BatPtr& keys, const BatPtr& prev_map) {
       groups.emplace(k, gid);
       first_row.push_back(static_cast<uint32_t>(i));
       reps.push_back(heads[i]);
-      map.push_back(gid);
+      map[i] = gid;
     } else {
-      map.push_back(it->second);
+      map[i] = it->second;
     }
   }
   return MakeGroupResult(std::move(map), std::move(reps));

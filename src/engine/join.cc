@@ -7,7 +7,6 @@
 
 namespace recycledb::engine {
 
-using detail::AnySideReader;
 using detail::PhysCompatible;
 using detail::RawSideArray;
 
@@ -21,9 +20,7 @@ Result<BatPtr> PositionalJoin(const BatPtr& l, const BatPtr& r) {
   Oid seq = r->head().seq;
   size_t rn = r->size();
   size_t ln = l->size();
-  AnySideReader<Oid> reader(ltail);
-
-  if (reader.dense()) {
+  if (ltail.dense()) {
     // Both sides dense: the join is an offset window over r.
     Oid lo = ltail.seq, hi = ltail.seq + ln;  // values [lo, hi)
     Oid rlo = seq, rhi = seq + rn;
@@ -35,24 +32,46 @@ Result<BatPtr> PositionalJoin(const BatPtr& l, const BatPtr& r) {
                      SliceSide(r->tail(), roff, len), len);
   }
 
-  // Branch-free compaction: every pair is written, and only a non-nil value
-  // inside r's dense head advances the output cursor.
+  // One branch-free pass: does every oid lie inside r's dense head, and do
+  // they strictly increase? Every fetch after Rebase is in range. With
+  // d = v - seq, the top bit of d | ~(d - rn) is set iff d >= rn (a nil
+  // lies past any dense head). `rising` keeps its top bit while each oid
+  // exceeds the one before, which the differences show once every offset
+  // is below rn < 2^63.
+  const Oid* lv = ltail.col->Data<Oid>().data() + ltail.offset;
+  auto outside = [seq, rn](Oid v) {
+    const Oid d = v - seq;
+    return d | ~(d - rn);
+  };
+  uint64_t out_bits = ln == 0 ? 0 : outside(lv[0]);
+  uint64_t rising = ~uint64_t{0};
+  for (size_t i = 1; i < ln; ++i) {
+    out_bits |= outside(lv[i]);
+    rising &= lv[i - 1] - lv[i];
+  }
+  const bool inside = (out_bits >> 63) == 0;
+  const bool increasing = (rising >> 63) != 0;
+  if (inside) {
+    // l's head carries over as it is, so a dense head stays dense and a
+    // materialised one is shared; r's tail is gathered directly.
+    return Bat::Make(l->head(), FetchSide(r->tail(), lv, ln, seq, increasing),
+                     ln);
+  }
+
+  // A nil or out-of-range oid: branch-free compaction, where every pair is
+  // written and only a non-nil value inside r's dense head advances the
+  // output cursor.
   SelVector sel_l(ln), pos_r(ln);
   size_t k = 0;
   for (size_t i = 0; i < ln; ++i) {
-    Oid v = reader[i];
+    Oid v = lv[i];
     sel_l[k] = static_cast<uint32_t>(i);
     pos_r[k] = static_cast<uint32_t>(v - seq);
     k += v != kNilOid && v >= seq && v - seq < rn;
   }
   sel_l.resize(k);
   pos_r.resize(k);
-  // Every value in range (the fetch after Rebase): l's head carries over as
-  // it is, so a dense head stays dense and a materialised one is shared.
-  BatSide head =
-      sel_l.size() == ln ? l->head() : TakeSide(l->head(), ln, sel_l);
-  return Bat::Make(std::move(head), TakeSide(r->tail(), rn, pos_r),
-                   sel_l.size());
+  return Bat::Make(TakeSide(l->head(), sel_l), TakeSide(r->tail(), pos_r), k);
 }
 
 template <typename T>
@@ -84,8 +103,8 @@ Result<BatPtr> HashJoin(const BatPtr& l, const BatPtr& r) {
       pos_r.push_back(j);
     });
   }
-  return Bat::Make(TakeSide(l->head(), ln, sel_l),
-                   TakeSide(r->tail(), rn, pos_r), sel_l.size());
+  return Bat::Make(TakeSide(l->head(), sel_l), TakeSide(r->tail(), pos_r),
+                   sel_l.size());
 }
 
 }  // namespace
@@ -132,7 +151,7 @@ Result<BatPtr> HashSemijoin(const BatPtr& l, const BatPtr& r, bool anti) {
   for (size_t i = 0; i < ln; ++i) {
     if ((hits[i] != 0) != anti) sel.push_back(static_cast<uint32_t>(i));
   }
-  return Bat::Make(TakeSide(l->head(), ln, sel), TakeSide(l->tail(), ln, sel),
+  return Bat::Make(TakeSide(l->head(), sel), TakeSide(l->tail(), sel),
                    sel.size());
 }
 
@@ -149,10 +168,7 @@ Result<BatPtr> DenseSemijoin(const BatPtr& l, const BatPtr& r) {
     Oid p = rv[j] - seq;
     if (rv[j] != kNilOid && p < ln) bits[p >> 6] |= uint64_t{1} << (p & 63);
   }
-  SelVector sel;
-  vec::BitsToSel(bits.data(), ln, &sel);
-  return Bat::Make(TakeSide(l->head(), ln, sel), TakeSide(l->tail(), ln, sel),
-                   sel.size());
+  return CompactBat(l, bits);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <memory>
 
 #include "engine/detail.h"
+#include "engine/vec/bitmap.h"
 #include "util/check.h"
 
 namespace recycledb::engine {
@@ -16,32 +17,64 @@ bool IncreasingSel(const SelVector& sel) {
   return true;
 }
 
-}  // namespace
-
-BatSide TakeSide(const BatSide& side, size_t count, const SelVector& sel) {
-  (void)count;
+/// A side of exactly `n` values drawn from `side`: `write(out, value)`
+/// stores `value(p)` for each of the n source positions p, in order, into
+/// `out`. `increasing()` tells whether those positions strictly increase;
+/// it is asked only when a result flag depends on it. A dense side
+/// materialises to oids `seq + p`, sorted and key when increasing; a
+/// materialised side stays sorted when increasing, and shares its heap.
+template <typename Write, typename Increasing>
+BatSide GatherSide(const BatSide& side, size_t n, Write write,
+                   Increasing increasing) {
   if (side.dense()) {
-    std::vector<Oid> out;
-    out.reserve(sel.size());
-    for (uint32_t i : sel) out.push_back(side.seq + i);
-    // A gather from a dense sequence at increasing positions stays sorted.
-    bool increasing = IncreasingSel(sel);
+    std::vector<Oid> out(n);
+    const Oid seq = side.seq;
+    write(out.data(), [seq](size_t p) -> Oid { return seq + p; });
+    const bool inc = increasing();
     auto col = Column::Make(TypeTag::kOid, std::move(out));
-    col->set_sorted(increasing);
-    col->set_key(increasing);
+    col->set_sorted(inc);
+    col->set_key(inc);
     return BatSide::Materialized(std::move(col));
   }
   TypeTag t = side.type;
   return VisitPhysical(t, [&](auto tag) -> BatSide {
     using T = typename decltype(tag)::type;
     const T* src = side.col->Data<T>().data() + side.offset;
-    std::vector<T> out;
-    out.reserve(sel.size());
-    for (uint32_t i : sel) out.push_back(src[i]);
+    std::vector<T> out(n);
+    write(out.data(), [src](size_t p) -> T { return src[p]; });
     auto col = Column::Make(t, std::move(out), side.col->heap());
-    if (side.col->sorted()) col->set_sorted(IncreasingSel(sel));
+    if (side.col->sorted()) col->set_sorted(increasing());
     return BatSide::Materialized(std::move(col));
   });
+}
+
+}  // namespace
+
+BatSide TakeSide(const BatSide& side, const SelVector& sel) {
+  auto write = [&](auto* out, auto value) {
+    for (size_t i = 0; i < sel.size(); ++i) out[i] = value(sel[i]);
+  };
+  auto increasing = [&] { return IncreasingSel(sel); };
+  return GatherSide(side, sel.size(), write, increasing);
+}
+
+BatSide FetchSide(const BatSide& side, const Oid* oids, size_t n, Oid seq,
+                  bool increasing) {
+  auto write = [&](auto* out, auto value) {
+    for (size_t i = 0; i < n; ++i) out[i] = value(oids[i] - seq);
+  };
+  return GatherSide(side, n, write, [=] { return increasing; });
+}
+
+BatPtr CompactBat(const BatPtr& b, const std::vector<uint64_t>& bits) {
+  const size_t n = b->size();
+  const size_t count = vec::CountBits(bits.data(), n);
+  auto write = [&](auto* out, auto value) {
+    vec::CompactBits(bits.data(), n, out, value);
+  };
+  auto increasing = [] { return true; };
+  return Bat::Make(GatherSide(b->head(), count, write, increasing),
+                   GatherSide(b->tail(), count, write, increasing), count);
 }
 
 BatSide SliceSide(const BatSide& side, size_t offset, size_t len) {
@@ -68,8 +101,8 @@ BatSide ConcatStrSides(const std::vector<const BatSide*>& sides,
   std::unique_ptr<StringHeapBuilder> extended;
   std::vector<StrCode> out;
   for (size_t k = 0; k < sides.size(); ++k) {
-    const StrCode* src = sides[k]->col->Data<StrCode>().data() +
-                         sides[k]->offset;
+    const StrCode* src =
+        sides[k]->col->Data<StrCode>().data() + sides[k]->offset;
     const StringHeap& from = *sides[k]->col->heap();
     if (&from == heap.get()) {
       out.insert(out.end(), src, src + counts[k]);
@@ -92,8 +125,7 @@ BatSide ConcatStrSides(const std::vector<const BatSide*>& sides,
 
 BatSide ConcatSides(const std::vector<const Bat*>& bats, bool head_side) {
   RDB_CHECK(!bats.empty());
-  const BatSide& first =
-      head_side ? bats[0]->head() : bats[0]->tail();
+  const BatSide& first = head_side ? bats[0]->head() : bats[0]->tail();
   TypeTag t = first.LogicalType();
   if (t == TypeTag::kStr) {
     std::vector<const BatSide*> sides;

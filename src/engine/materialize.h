@@ -8,14 +8,29 @@
 
 namespace recycledb::engine {
 
-/// Position list produced by selection/join candidate computation.
+/// Row positions in output order: what the hash joins, the general fetch,
+/// Kunique and sort keep.
 using SelVector = std::vector<uint32_t>;
 
 /// Gathers `side` values at positions `sel` into a freshly materialised
-/// side. Dense sides materialise to oid columns. If the gathered positions
-/// are a strictly increasing run and the source is sorted, the sortedness
-/// property is preserved.
-BatSide TakeSide(const BatSide& side, size_t count, const SelVector& sel);
+/// side of exactly `sel.size()` values. Dense sides materialise to oid
+/// columns. If the gathered positions are a strictly increasing run and the
+/// source is sorted, the sortedness property is preserved.
+BatSide TakeSide(const BatSide& side, const SelVector& sel);
+
+/// Gathers `side` at positions `oids[i] - seq` for i in [0, n): the
+/// in-range fetch, whose caller has checked that every position lies in
+/// the side and whether they strictly increase (`increasing`). Sets the
+/// same sorted/key flags TakeSide would.
+BatSide FetchSide(const BatSide& side, const Oid* oids, size_t n, Oid seq,
+                  bool increasing);
+
+/// The pairs of `b` whose bit is set in `bits` (one bit per pair, little
+/// endian, the bits past b->size() clear), in order. Each side is written
+/// straight from the bitmap into a column of the exact size, a dense side
+/// as `seq + position`; flags as TakeSide sets them for increasing
+/// positions.
+BatPtr CompactBat(const BatPtr& b, const std::vector<uint64_t>& bits);
 
 /// Zero-copy view of `side` restricted to [offset, offset+len).
 BatSide SliceSide(const BatSide& side, size_t offset, size_t len);

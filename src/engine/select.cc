@@ -9,7 +9,6 @@
 
 namespace recycledb::engine {
 
-using detail::AnySideReader;
 using detail::PhysCompatible;
 using detail::VisitFixedWidth;
 
@@ -62,21 +61,12 @@ BatPtr SortedRangeSelect(const BatPtr& b, bool has_lo, const K& lov,
   if (end < begin) end = begin;
   size_t off = static_cast<size_t>(begin - data);
   size_t len = static_cast<size_t>(end - begin);
-  return Bat::Make(SliceSide(b->head(), off, len),
-                   SliceSide(tail, off, len), len);
+  return Bat::Make(SliceSide(b->head(), off, len), SliceSide(tail, off, len),
+                   len);
 }
 
-/// Builds the select result from a candidate bitmap over the tail.
-BatPtr GatherBits(const BatPtr& b, const std::vector<uint64_t>& bits) {
-  size_t n = b->size();
-  SelVector sel;
-  vec::BitsToSel(bits.data(), n, &sel);
-  return Bat::Make(TakeSide(b->head(), n, sel), TakeSide(b->tail(), n, sel),
-                   sel.size());
-}
-
-/// Vectorised scan select: predicate into a candidate bitmap, one
-/// compaction pass into a reserved SelVector, then the gathers.
+/// Vectorised scan select: predicate into a candidate bitmap, then one
+/// compaction from the bitmap into each result side.
 template <typename T>
 BatPtr ScanRangeSelect(const BatPtr& b, bool has_lo, const T& lov, bool has_hi,
                        const T& hiv, bool lo_inc, bool hi_inc) {
@@ -86,7 +76,7 @@ BatPtr ScanRangeSelect(const BatPtr& b, bool has_lo, const T& lov, bool has_hi,
   std::vector<uint64_t> bits(vec::BitmapWords(n));
   vec::RangeBits(data, n, has_lo, lov, has_hi, hiv, lo_inc, hi_inc,
                  bits.data());
-  return GatherBits(b, bits);
+  return CompactBat(b, bits);
 }
 
 /// Selects the rows of a string tail whose (non-nil) string passes `pred`.
@@ -100,7 +90,7 @@ BatPtr StrPredSelect(const BatPtr& b, Pred pred) {
   vec::PredBits(codes, n, bits.data(), [&](StrCode c) -> bool {
     return !IsNil(c) && pred(heap.Get(c));
   });
-  return GatherBits(b, bits);
+  return CompactBat(b, bits);
 }
 
 /// Range select over a string tail, comparing each row's string.
@@ -132,13 +122,11 @@ Result<BatPtr> Select(const BatPtr& b, const Scalar& lo, const Scalar& hi,
   bool has_lo = !lo.is_nil();
   bool has_hi = !hi.is_nil();
   if (has_lo && !PhysCompatible(lo.tag(), t))
-    return Status::TypeMismatch(
-        StrFormat("select lower bound %s vs tail %s",
-                  TypeName(lo.tag()), TypeName(t)));
+    return Status::TypeMismatch(StrFormat("select lower bound %s vs tail %s",
+                                          TypeName(lo.tag()), TypeName(t)));
   if (has_hi && !PhysCompatible(hi.tag(), t))
-    return Status::TypeMismatch(
-        StrFormat("select upper bound %s vs tail %s",
-                  TypeName(hi.tag()), TypeName(t)));
+    return Status::TypeMismatch(StrFormat("select upper bound %s vs tail %s",
+                                          TypeName(hi.tag()), TypeName(t)));
 
   if (tail.dense()) {
     // Dense tails are sorted oid runs; clamp the range arithmetically.
@@ -157,8 +145,8 @@ Result<BatPtr> Select(const BatPtr& b, const Scalar& lo, const Scalar& hi,
     if (qhi > last) qhi = last;
     if (qhi < qlo) qhi = qlo;
     size_t off = qlo - first, len = qhi - qlo;
-    return Bat::Make(SliceSide(b->head(), off, len),
-                     SliceSide(tail, off, len), len);
+    return Bat::Make(SliceSide(b->head(), off, len), SliceSide(tail, off, len),
+                     len);
   }
 
   if (t == TypeTag::kStr) return StrSelect(b, lo, hi, lo_inc, hi_inc);
@@ -175,8 +163,7 @@ Result<BatPtr> Select(const BatPtr& b, const Scalar& lo, const Scalar& hi,
 }
 
 Result<BatPtr> Uselect(const BatPtr& b, const Scalar& v) {
-  if (v.is_nil())
-    return Status::InvalidArgument("uselect with nil value");
+  if (v.is_nil()) return Status::InvalidArgument("uselect with nil value");
   return Select(b, v, v, /*lo_inc=*/true, /*hi_inc=*/true);
 }
 
@@ -185,41 +172,32 @@ Result<BatPtr> AntiUselect(const BatPtr& b, const Scalar& v) {
   TypeTag t = tail.LogicalType();
   if (!PhysCompatible(v.tag(), t))
     return Status::TypeMismatch("anti-uselect value type mismatch");
-  if (t == TypeTag::kStr) {
+  const size_t n = b->size();
+  std::vector<uint64_t> bits(vec::BitmapWords(n));
+  if (tail.dense()) {
+    // Every row of the oid run qualifies but the one holding the key (and
+    // the nil oid, should the run reach it).
+    std::fill(bits.begin(), bits.end(), ~uint64_t{0});
+    if (n % 64 != 0) bits.back() = (uint64_t{1} << (n % 64)) - 1;
+    for (Oid drop : {v.AsOid(), kNilOid}) {
+      Oid p = drop - tail.seq;
+      if (p < n) bits[p >> 6] &= ~(uint64_t{1} << (p & 63));
+    }
+  } else if (t == TypeTag::kStr) {
     // A string the heap lacks becomes the nil code, which NotEqBits never
     // lets through anyway: every non-nil row qualifies.
     StrCode key;
     if (!tail.col->heap()->Find(v.AsStr(), &key)) key = StrCode{};
-    size_t n = b->size();
     const StrCode* data = tail.col->Data<StrCode>().data() + tail.offset;
-    std::vector<uint64_t> bits(vec::BitmapWords(n));
     vec::NotEqBits(data, n, key, bits.data());
-    return GatherBits(b, bits);
+  } else {
+    VisitFixedWidth(t, [&](auto tag) {
+      using T = typename decltype(tag)::type;
+      const T* data = tail.col->Data<T>().data() + tail.offset;
+      vec::NotEqBits(data, n, v.Get<T>(), bits.data());
+    });
   }
-  return VisitFixedWidth(t, [&](auto tag) -> Result<BatPtr> {
-    using T = typename decltype(tag)::type;
-    const T& key = v.Get<T>();
-    size_t n = b->size();
-    if (tail.dense()) {
-      AnySideReader<T> reader(tail);
-      SelVector sel;
-      sel.reserve(n);
-      for (size_t i = 0; i < n; ++i) {
-        const T& x = reader[i];
-        if (IsNil(x) || x == key) continue;
-        sel.push_back(static_cast<uint32_t>(i));
-      }
-      return Bat::Make(TakeSide(b->head(), n, sel), TakeSide(tail, n, sel),
-                       sel.size());
-    }
-    const T* data = tail.col->Data<T>().data() + tail.offset;
-    std::vector<uint64_t> bits(vec::BitmapWords(n));
-    vec::NotEqBits(data, n, key, bits.data());
-    SelVector sel;
-    vec::BitsToSel(bits.data(), n, &sel);
-    return Bat::Make(TakeSide(b->head(), n, sel), TakeSide(tail, n, sel),
-                     sel.size());
-  });
+  return CompactBat(b, bits);
 }
 
 Result<BatPtr> LikeSelect(const BatPtr& b, const std::string& pattern) {
@@ -244,10 +222,7 @@ Result<BatPtr> SelectNotNil(const BatPtr& b) {
     vec::NotNilBits(data, n, bits.data());
     if (vec::CountBits(bits.data(), n) == n)
       return b;  // nothing dropped; share the viewpoint
-    SelVector sel;
-    vec::BitsToSel(bits.data(), n, &sel);
-    return Bat::Make(TakeSide(b->head(), n, sel), TakeSide(tail, n, sel),
-                     sel.size());
+    return CompactBat(b, bits);
   });
 }
 

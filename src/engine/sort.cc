@@ -51,16 +51,16 @@ Result<BatPtr> SortTail(const BatPtr& b) {
     return b;  // already ordered
   }
   SelVector sel = Order(tail, n, /*desc=*/false);
-  BatSide new_tail = TakeSide(tail, n, sel);
+  BatSide new_tail = TakeSide(tail, sel);
   const_cast<Column*>(new_tail.col.get())->set_sorted(true);
-  return Bat::Make(TakeSide(b->head(), n, sel), std::move(new_tail), n);
+  return Bat::Make(TakeSide(b->head(), sel), std::move(new_tail), n);
 }
 
 Result<BatPtr> SortTailRev(const BatPtr& b) {
   const BatSide& tail = b->tail();
   size_t n = b->size();
   SelVector sel = Order(tail, n, /*desc=*/true);
-  return Bat::Make(TakeSide(b->head(), n, sel), TakeSide(tail, n, sel), n);
+  return Bat::Make(TakeSide(b->head(), sel), TakeSide(tail, sel), n);
 }
 
 Result<BatPtr> Concat(const std::vector<BatPtr>& bats) {

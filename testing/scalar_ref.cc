@@ -1,5 +1,7 @@
 #include "testing/scalar_ref.h"
 
+#include <unordered_set>
+
 #include "bat/hash_index.h"
 #include "engine/detail.h"
 #include "engine/materialize.h"
@@ -62,8 +64,7 @@ Result<BatPtr> ScanRangeSelect(const BatPtr& b, const Scalar& lo,
       }
       sel.push_back(static_cast<uint32_t>(i));
     }
-    return Bat::Make(TakeSide(b->head(), n, sel), TakeSide(tail, n, sel),
-                     sel.size());
+    return Bat::Make(TakeSide(b->head(), sel), TakeSide(tail, sel), sel.size());
   });
 }
 
@@ -88,8 +89,8 @@ Result<BatPtr> HashJoin(const BatPtr& l, const BatPtr& r) {
         pos_r.push_back(j);
       });
     }
-    return Bat::Make(TakeSide(l->head(), ln, sel_l),
-                     TakeSide(r->tail(), rn, pos_r), sel_l.size());
+    return Bat::Make(TakeSide(l->head(), sel_l), TakeSide(r->tail(), pos_r),
+                     sel_l.size());
   });
 }
 
@@ -138,8 +139,8 @@ Result<BatPtr> GroupedAggr(AggFn fn, const BatPtr& vals, const BatPtr& map,
             ++cnt[greader[i]];
           }
           for (size_t g = 0; g < ngroups; ++g)
-            acc[g] = cnt[g] ? acc[g] / static_cast<double>(cnt[g])
-                            : NilOf<double>();
+            acc[g] =
+                cnt[g] ? acc[g] / static_cast<double>(cnt[g]) : NilOf<double>();
           return Bat::DenseHead(Column::Make(TypeTag::kDbl, std::move(acc)));
         }
         case AggFn::kMin:
@@ -173,8 +174,64 @@ Result<BatPtr> LikeSelect(const BatPtr& b, const std::string& pattern) {
     if (!data[i].empty() && LikeMatch(data[i], pattern))
       sel.push_back(static_cast<uint32_t>(i));
   }
-  return Bat::Make(TakeSide(b->head(), n, sel), TakeSide(tail, n, sel),
-                   sel.size());
+  return Bat::Make(TakeSide(b->head(), sel), TakeSide(tail, sel), sel.size());
+}
+
+Result<BatPtr> AntiUselect(const BatPtr& b, const Scalar& v) {
+  const BatSide& tail = b->tail();
+  TypeTag t = tail.LogicalType();
+  if (!PhysCompatible(v.tag(), t))
+    return Status::TypeMismatch("scalar_ref anti-uselect value type");
+  return VisitPhysical(t, [&](auto tag) -> Result<BatPtr> {
+    using T = typename decltype(tag)::type;
+    using V = RefT<T>;
+    const V key = v.Get<V>();
+    size_t n = b->size();
+    const std::vector<V> vals = RefValues<T>(tail, n);
+    SelVector sel;
+    for (size_t i = 0; i < n; ++i) {
+      if (!IsNil(vals[i]) && !(vals[i] == key))
+        sel.push_back(static_cast<uint32_t>(i));
+    }
+    return Bat::Make(TakeSide(b->head(), sel), TakeSide(tail, sel), sel.size());
+  });
+}
+
+Result<BatPtr> SelectNotNil(const BatPtr& b) {
+  const BatSide& tail = b->tail();
+  return VisitPhysical(tail.LogicalType(), [&](auto tag) -> Result<BatPtr> {
+    using T = typename decltype(tag)::type;
+    size_t n = b->size();
+    const std::vector<RefT<T>> vals = RefValues<T>(tail, n);
+    SelVector sel;
+    for (size_t i = 0; i < n; ++i) {
+      if (!IsNil(vals[i])) sel.push_back(static_cast<uint32_t>(i));
+    }
+    if (sel.size() == n) return b;
+    return Bat::Make(TakeSide(b->head(), sel), TakeSide(tail, sel), sel.size());
+  });
+}
+
+Result<BatPtr> Semijoin(const BatPtr& l, const BatPtr& r) {
+  TypeTag lt = l->head().LogicalType();
+  TypeTag rt = r->head().LogicalType();
+  if (!PhysCompatible(lt, rt))
+    return Status::TypeMismatch("scalar_ref semijoin inputs");
+  return VisitPhysical(rt, [&](auto tag) -> Result<BatPtr> {
+    using T = typename decltype(tag)::type;
+    using V = RefT<T>;
+    const std::vector<V> rvals = RefValues<T>(r->head(), r->size());
+    const std::unordered_set<V> present(rvals.begin(), rvals.end());
+    size_t ln = l->size();
+    const std::vector<V> lvals = RefValues<T>(l->head(), ln);
+    SelVector sel;
+    for (size_t i = 0; i < ln; ++i) {
+      if (!IsNil(lvals[i]) && present.count(lvals[i]) != 0)
+        sel.push_back(static_cast<uint32_t>(i));
+    }
+    return Bat::Make(TakeSide(l->head(), sel), TakeSide(l->tail(), sel),
+                     sel.size());
+  });
 }
 
 }  // namespace recycledb::engine::scalar_ref

@@ -5,9 +5,10 @@
 
 namespace recycledb::engine::scalar_ref {
 
-/// Retained element-at-a-time reference implementations of the kernels the
-/// vectorised layer (engine/vec/) replaced. They are the former production
-/// loops, kept verbatim for two consumers:
+/// Element-at-a-time reference implementations of the kernels the
+/// vectorised layer (engine/vec/) and the bitmap compaction replaced: the
+/// former production loops, and per-row loops for the other bitmap
+/// consumers. They have two consumers:
 ///
 ///  - parity tests (tests/vec_kernel_test.cc) pin the vectorised entry
 ///    points to byte-identical outputs against these;
@@ -29,6 +30,16 @@ Result<BatPtr> GroupedAggr(AggFn fn, const BatPtr& vals, const BatPtr& map,
 
 /// Per-row LIKE select re-interpreting the raw pattern for every row.
 Result<BatPtr> LikeSelect(const BatPtr& b, const std::string& pattern);
+
+/// Per-row anti-uselect: the pairs whose tail is neither nil nor `v`.
+Result<BatPtr> AntiUselect(const BatPtr& b, const Scalar& v);
+
+/// Per-row nil filter; returns `b` itself when no tail is nil.
+Result<BatPtr> SelectNotNil(const BatPtr& b);
+
+/// Per-row semijoin: the pairs of `l` whose head occurs among `r`'s heads
+/// (a nil head never matches).
+Result<BatPtr> Semijoin(const BatPtr& l, const BatPtr& r);
 
 }  // namespace recycledb::engine::scalar_ref
 

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 
 #include "engine/operators.h"
 
@@ -107,15 +108,25 @@ TEST(JoinTest, InRangeFetchKeepsDenseHead) {
 
 TEST(JoinTest, InRangeFetchSharesHeadAndMatchesGeneralPath) {
   // r: a dense head at seq 10 over a sorted and an unsorted int tail.
+  constexpr Oid kSeq = 10;
   auto sorted_col = Column::Make(
       TypeTag::kInt, std::vector<int32_t>{1, 2, 3, 5, 8, 13, 21, 34});
   sorted_col->set_sorted(true);
-  auto unsorted_col = Column::Make(
-      TypeTag::kInt, std::vector<int32_t>{9, 4, 7, 1, 8, 2, 6, 3});
+  auto unsorted_col =
+      Column::Make(TypeTag::kInt, std::vector<int32_t>{9, 4, 7, 1, 8, 2, 6, 3});
+  const Oid rn = sorted_col->size();
+  const std::vector<std::vector<Oid>> inputs{
+      {10, 11, 13, 14, 17},         // increasing
+      {14, 10, 17, 13, 11},         // shuffled
+      {10, 11, 11, 13, 17},         // equal neighbours
+      {17, 14, 13, 11, 10},         // decreasing
+      {10, 11, kNilOid, 14, 17},    // one nil
+      {kSeq - 1, 11, 13, 14, 17},   // one just below r's head
+      {10, 11, 13, 14, kSeq + rn},  // one just past it
+  };
   for (const auto& rcol : {sorted_col, unsorted_col}) {
-    auto r = Bat::DenseHead(rcol, 10);
-    for (std::vector<Oid> vals : {std::vector<Oid>{10, 11, 13, 14, 17},
-                                  std::vector<Oid>{14, 10, 17, 13, 11}}) {
+    auto r = Bat::DenseHead(rcol, kSeq);
+    for (const std::vector<Oid>& vals : inputs) {
       const size_t n = vals.size();
       for (size_t off : {size_t{0}, size_t{2}}) {
         // Heads and tails live at [off, off+n) of their columns; the pair
@@ -139,11 +150,28 @@ TEST(JoinTest, InRangeFetchSharesHeadAndMatchesGeneralPath) {
                                       BatSide::Materialized(tcol, off), n + 1),
                             r)
                            .ValueOrDie();
-        EXPECT_EQ(fast->head().col, hcol) << "head shared, not copied";
-        EXPECT_EQ(fast->head().offset, off);
+        // The pairs a fetch keeps: those whose oid lies in [kSeq, kSeq+rn).
+        std::vector<Oid> kept;
+        for (size_t i = 0; i < n; ++i) {
+          if (vals[i] != kNilOid && vals[i] >= kSeq && vals[i] < kSeq + rn) {
+            EXPECT_EQ(fast->HeadAt(kept.size()), Scalar::OidVal(500 + 3 * i));
+            EXPECT_EQ(fast->TailAt(kept.size()),
+                      rcol->GetScalar(vals[i] - kSeq));
+            kept.push_back(vals[i]);
+          }
+        }
+        ASSERT_EQ(fast->size(), kept.size());
+        if (kept.size() == n) {
+          EXPECT_EQ(fast->head().col, hcol) << "head shared, not copied";
+          EXPECT_EQ(fast->head().offset, off);
+        } else {
+          EXPECT_NE(fast->head().col, hcol);
+        }
         EXPECT_NE(general->head().col, hcol);
         ExpectSameFetch(fast, general);
-        const bool increasing = std::is_sorted(vals.begin(), vals.end());
+        const bool increasing =
+            std::adjacent_find(kept.begin(), kept.end(),
+                               std::greater_equal<Oid>()) == kept.end();
         EXPECT_EQ(fast->tail().col->sorted(), rcol == sorted_col && increasing);
       }
     }
@@ -166,11 +194,10 @@ TEST(JoinTest, DenseDenseWindow) {
 TEST(JoinTest, HashJoinWithDuplicates) {
   // r has a materialised non-dense head: hash path.
   auto r = HeadedBat({5, 7, 5}, {50, 70, 51});
-  auto l = Bat::Make(
-      BatSide::Dense(0),
-      BatSide::Materialized(Column::Make(TypeTag::kOid,
-                                         std::vector<Oid>{7, 5, 6})),
-      3);
+  auto l = Bat::Make(BatSide::Dense(0),
+                     BatSide::Materialized(Column::Make(
+                         TypeTag::kOid, std::vector<Oid>{7, 5, 6})),
+                     3);
   auto j = Join(l, r).ValueOrDie();
   // l[0]=7 matches one; l[1]=5 matches two; l[2]=6 none.
   ASSERT_EQ(j->size(), 3u);
@@ -182,17 +209,16 @@ TEST(JoinTest, HashJoinWithDuplicates) {
 }
 
 TEST(JoinTest, StringKeys) {
-  auto r = Bat::Make(
-      BatSide::Materialized(Column::Make(
-          TypeTag::kStr, std::vector<std::string>{"a", "b"})),
-      BatSide::Materialized(Column::Make(TypeTag::kInt,
-                                         std::vector<int32_t>{1, 2})),
-      2);
-  auto l = Bat::Make(
-      BatSide::Dense(0),
-      BatSide::Materialized(Column::Make(
-          TypeTag::kStr, std::vector<std::string>{"b", "c", "a"})),
-      3);
+  auto r = Bat::Make(BatSide::Materialized(Column::Make(
+                         TypeTag::kStr, std::vector<std::string>{"a", "b"})),
+                     BatSide::Materialized(Column::Make(
+                         TypeTag::kInt, std::vector<int32_t>{1, 2})),
+                     2);
+  auto l =
+      Bat::Make(BatSide::Dense(0),
+                BatSide::Materialized(Column::Make(
+                    TypeTag::kStr, std::vector<std::string>{"b", "c", "a"})),
+                3);
   auto j = Join(l, r).ValueOrDie();
   ASSERT_EQ(j->size(), 2u);
   EXPECT_EQ(j->TailAt(0), Scalar::Int(2));
@@ -201,10 +227,9 @@ TEST(JoinTest, StringKeys) {
 
 TEST(JoinTest, TypeMismatchRejected) {
   auto l = IntBat({1});
-  auto r = Bat::Make(
-      BatSide::Materialized(Column::Make(
-          TypeTag::kStr, std::vector<std::string>{"x"})),
-      BatSide::Dense(0), 1);
+  auto r = Bat::Make(BatSide::Materialized(Column::Make(
+                         TypeTag::kStr, std::vector<std::string>{"x"})),
+                     BatSide::Dense(0), 1);
   EXPECT_FALSE(Join(l, r).ok());
 }
 
@@ -225,21 +250,21 @@ TEST(SemijoinTest, DenseLeftBitmapMatchesHashPath) {
                             std::vector<int32_t>{-1, 10, 11, 12, 13, 14, 15});
   const size_t ln = 6;
   const std::vector<std::vector<Oid>> rheads_cases = {
-      {},                                           // empty r
-      {3, 1, 3, 5, 1},                              // duplicates, unsorted
-      {kNilOid, 2, kNilOid},                        // nils
-      {7, 99, 0, 4, kNilOid - 1},                   // out of range above
-      {0, 1, 2, 3, 4, 5},                           // every row
+      {},                          // empty r
+      {3, 1, 3, 5, 1},             // duplicates, unsorted
+      {kNilOid, 2, kNilOid},       // nils
+      {7, 99, 0, 4, kNilOid - 1},  // out of range above
+      {0, 1, 2, 3, 4, 5},          // every row
   };
   for (Oid seq : {Oid{0}, Oid{100}}) {
     std::vector<Oid> heads;
     for (size_t i = 0; i < ln; ++i) heads.push_back(seq + i);
-    auto dense_l = Bat::Make(BatSide::Dense(seq),
-                             BatSide::Materialized(ltail, 1), ln);
+    auto dense_l =
+        Bat::Make(BatSide::Dense(seq), BatSide::Materialized(ltail, 1), ln);
     // The same pairs with a materialised head take HashSemijoin.
-    auto hash_l = Bat::Make(
-        BatSide::Materialized(Column::Make(TypeTag::kOid, heads)),
-        BatSide::Materialized(ltail, 1), ln);
+    auto hash_l =
+        Bat::Make(BatSide::Materialized(Column::Make(TypeTag::kOid, heads)),
+                  BatSide::Materialized(ltail, 1), ln);
     for (std::vector<Oid> rheads : rheads_cases) {
       for (Oid& h : rheads) {
         if (h != kNilOid && h != kNilOid - 1) h += seq;

@@ -51,7 +51,7 @@ std::unique_ptr<Catalog> MakeAcctDb(int rows) {
 }
 
 Result<QueryResult> RunStmt(QueryService* svc, const std::string& sql,
-                        Session* session = nullptr) {
+                            Session* session = nullptr) {
   // Submit requires a session; a scratch one (autocommit on, no state)
   // stands in for "anonymous one-shot statement" probes.
   Session scratch;
@@ -260,6 +260,14 @@ TEST_F(MvccLockTest, WriterProgressesUnderSharedHoldChurn) {
   std::promise<void> writer_done;
   std::atomic<int> commits{0};
   std::thread writer([&] {
+    // Commit only once a churn compile has landed since compiles_before,
+    // so the check below tests lock fairness, not which thread the
+    // scheduler ran first.
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (svc.SnapshotStats().plan_compiles == compiles_before &&
+           std::chrono::steady_clock::now() < deadline)
+      std::this_thread::yield();
     Session wsess;  // autocommit: one exclusive hold per statement
     for (int i = 0; i < kCommits; ++i) {
       const std::string ins =
@@ -353,8 +361,8 @@ TEST(MvccSessionTest, ExpiredDeadlineResolvesWithoutRunning) {
   SubmitOptions opt;
   opt.deadline_ms = 1e-6;  // lapses before any worker can dequeue it
   Session sess;
-  auto r = svc.Submit(Request{"select count(*) from acct", &sess, opt})
-               .future.get();
+  auto r =
+      svc.Submit(Request{"select count(*) from acct", &sess, opt}).future.get();
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kDeadlineExceeded)
       << r.status().ToString();
