@@ -142,11 +142,13 @@ bool Recycler::OnEntryCtx(const QueryCtx& ctx, const InstrView& instr,
   if (!cfg_.enable_subsumption) return false;
 
   std::optional<SubsumeOutcome> outcome;
+  double combined_ms = 0;
   StopWatch subsume_watch;
   switch (instr.op) {
     case Opcode::kSelect:
     case Opcode::kUselect:
-      outcome = subsume_.TrySelect(instr.op, *instr.args, ctx.epoch);
+      outcome =
+          subsume_.TrySelect(instr.op, *instr.args, ctx.epoch, &combined_ms);
       break;
     case Opcode::kLikeSelect:
       outcome = subsume_.TryLike(*instr.args, ctx.epoch);
@@ -157,15 +159,16 @@ bool Recycler::OnEntryCtx(const QueryCtx& ctx, const InstrView& instr,
     default:
       break;
   }
+  // Every combined attempt is charged, including the ones that find no
+  // cover cheaper than the regular select.
+  stats_.subsume_alg_ms += combined_ms;
+  stats_.max_subsume_alg_ms = std::max(stats_.max_subsume_alg_ms, combined_ms);
   if (!outcome.has_value()) return false;
 
   double subsumed_exec_ms = subsume_watch.ElapsedMillis();
   ++stats_.hits;
   if (outcome->combined) {
     ++stats_.combined_hits;
-    stats_.subsume_alg_ms += outcome->algorithm_ms;
-    stats_.max_subsume_alg_ms =
-        std::max(stats_.max_subsume_alg_ms, outcome->algorithm_ms);
   } else {
     ++stats_.subsumed_hits;
   }

@@ -75,8 +75,8 @@ struct RecyclerStats {
   uint64_t stale_declines = 0;
   double time_saved_ms = 0;  ///< Σ original cost of entries reused exactly
   double match_ms = 0;       ///< total time spent in recycleEntry matching
-  double subsume_alg_ms = 0; ///< time inside the combined-subsumption DP
-  double max_subsume_alg_ms = 0;
+  double subsume_alg_ms = 0; ///< combined-subsumption DP, every attempt
+  double max_subsume_alg_ms = 0;  ///< slowest single attempt
 
   /// Field-wise accumulation (counters/times sum, maxima take the max).
   /// THE aggregation for rolling per-stripe statistics up — add new fields

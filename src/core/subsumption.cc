@@ -1,7 +1,11 @@
+// Instruction subsumption (paper §5). subsumption.h describes the chain DP
+// behind combined subsumption and what the candidate cap is for.
+
 #include "core/subsumption.h"
 
 #include <algorithm>
-#include <unordered_set>
+#include <limits>
+#include <numeric>
 
 #include "engine/operators.h"
 #include "util/timer.h"
@@ -49,34 +53,6 @@ RangeBound MinHi(const RangeBound& a, const RangeBound& b) {
   if (c > 0) return b;
   RangeBound r = a;
   r.inclusive = a.inclusive && b.inclusive;
-  return r;
-}
-
-RangeBound MinLo(const RangeBound& a, const RangeBound& b) {
-  if (a.unbounded || b.unbounded) {
-    RangeBound r;
-    r.unbounded = true;
-    return r;
-  }
-  int c = a.v.Compare(b.v);
-  if (c < 0) return a;
-  if (c > 0) return b;
-  RangeBound r = a;
-  r.inclusive = a.inclusive || b.inclusive;
-  return r;
-}
-
-RangeBound MaxHi(const RangeBound& a, const RangeBound& b) {
-  if (a.unbounded || b.unbounded) {
-    RangeBound r;
-    r.unbounded = true;
-    return r;
-  }
-  int c = a.v.Compare(b.v);
-  if (c > 0) return a;
-  if (c < 0) return b;
-  RangeBound r = a;
-  r.inclusive = a.inclusive || b.inclusive;
   return r;
 }
 
@@ -137,8 +113,55 @@ bool RangeOverlaps(const ValRange& a, const ValRange& b) {
   return LoLeHi(a.lo, b.hi) && LoLeHi(b.lo, a.hi);
 }
 
+std::vector<size_t> CheapestChainCover(const ValRange& target,
+                                       const std::vector<CoverCandidate>& r,
+                                       size_t overhead_rows, size_t base_rows) {
+  const size_t n = r.size();
+  // R by lower bound, the one reaching further down first.
+  std::vector<size_t> order(n);
+  std::iota(order.begin(), order.end(), 0);
+  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    return !LoCovers(r[b].range.lo, r[a].range.lo);
+  });
+
+  // best[i]: the fewest rows of a chain that covers the target's lower bound
+  // and ends with order[i]; prev[i]: its predecessor in the chain.
+  constexpr size_t kNone = std::numeric_limits<size_t>::max();
+  std::vector<size_t> best(n, kNone);
+  std::vector<size_t> prev(n, kNone);
+  size_t end = kNone;
+  size_t end_cost = base_rows;
+  for (size_t i = 0; i < n; ++i) {
+    const ValRange& k = r[order[i]].range;
+    const size_t rows = r[order[i]].rows;
+    if (LoCovers(k.lo, target.lo)) best[i] = rows;
+    for (size_t j = 0; j < i; ++j) {
+      if (best[j] == kNone) continue;
+      // k must share a point with j and reach past j's upper bound.
+      const ValRange& pj = r[order[j]].range;
+      if (!LoLeHi(k.lo, pj.hi) || HiCovers(pj.hi, k.hi)) continue;
+      if (best[j] + rows < best[i]) {
+        best[i] = best[j] + rows;
+        prev[i] = j;
+      }
+    }
+    if (best[i] != kNone && HiCovers(k.hi, target.hi) &&
+        best[i] + overhead_rows < end_cost) {
+      end = i;
+      end_cost = best[i] + overhead_rows;
+    }
+  }
+
+  std::vector<size_t> chain;
+  for (size_t i = end; i != kNone; i = prev[i]) chain.push_back(order[i]);
+  std::reverse(chain.begin(), chain.end());
+  return chain;
+}
+
 std::optional<SubsumeOutcome> SubsumptionEngine::TrySelect(
-    Opcode op, const std::vector<MalValue>& args, uint64_t visible_epoch) {
+    Opcode op, const std::vector<MalValue>& args, uint64_t visible_epoch,
+    double* combined_ms) {
+  if (combined_ms != nullptr) *combined_ms = 0;
   if (!args[0].is_bat()) return std::nullopt;
   uint64_t src_bat = args[0].bat()->id();
 
@@ -179,113 +202,51 @@ std::optional<SubsumeOutcome> SubsumptionEngine::TrySelect(
   }
 
   if (!opts_.allow_combined) return std::nullopt;
-  return TryCombined(target, args, std::move(cands));
+  return TryCombined(target, args, std::move(cands), combined_ms);
 }
 
 std::optional<SubsumeOutcome> SubsumptionEngine::TryCombined(
     const ValRange& target, const std::vector<MalValue>& args,
-    std::vector<PoolEntry*> cands) {
+    std::vector<PoolEntry*> cands, double* combined_ms) {
   StopWatch alg_timer;
 
-  // R: candidates overlapping the target (Algorithm 2 lines 6-9), bounded to
-  // keep the subset search tractable; prefer small intermediates.
+  // R: candidates overlapping the target (Algorithm 2 lines 6-9), capped to
+  // the ones with the fewest rows. Ties keep the earlier-admitted entry.
   std::vector<PoolEntry*> r_set;
-  std::vector<ValRange> r_range;
   for (PoolEntry* c : cands) {
-    ValRange cr = RangeOfSelect(c->args);
-    if (RangeOverlaps(cr, target)) r_set.push_back(c);
+    if (RangeOverlaps(RangeOfSelect(c->args), target)) r_set.push_back(c);
   }
-  if (r_set.size() < 2) return std::nullopt;
   if (r_set.size() > opts_.max_candidates) {
     std::sort(r_set.begin(), r_set.end(),
               [](const PoolEntry* a, const PoolEntry* b) {
-                return a->result_rows < b->result_rows;
+                if (a->result_rows != b->result_rows)
+                  return a->result_rows < b->result_rows;
+                return a->id < b->id;
               });
     r_set.resize(opts_.max_candidates);
   }
-  r_range.reserve(r_set.size());
-  for (PoolEntry* c : r_set) r_range.push_back(RangeOfSelect(c->args));
-
-  // Cost of the regular computation: the size of the column operand
-  // (§5.2, C(Xi) = Sz(Xi)); combined solutions must beat it.
-  size_t base_cost = args[0].bat()->size();
-
-  struct Combo {
-    uint32_t mask;
-    ValRange hull;  // connected union of member ranges
-    size_t cost;
-  };
-
-  uint32_t best_mask = 0;
-  size_t best_cost = base_cost;
-
-  // Seed with singletons (none covers the target or the singleton path
-  // would have fired; they remain partial solutions).
-  std::vector<Combo> p1;
-  for (size_t i = 0; i < r_set.size(); ++i) {
-    size_t cost = r_set[i]->result_rows + opts_.overhead_rows;
-    if (cost >= best_cost) continue;
-    p1.push_back({static_cast<uint32_t>(1u << i), r_range[i], cost});
+  std::vector<CoverCandidate> r;
+  r.reserve(r_set.size());
+  for (PoolEntry* c : r_set) {
+    r.push_back({RangeOfSelect(c->args), c->result_rows});
   }
+  // The cost of the regular computation is the size of the column operand
+  // (§5.2, C(Xi) = Sz(Xi)); a cover must beat it.
+  size_t base_rows = args[0].bat()->size();
+  std::vector<size_t> chain =
+      CheapestChainCover(target, r, opts_.overhead_rows, base_rows);
+  if (combined_ms != nullptr) *combined_ms = alg_timer.ElapsedMillis();
+  if (chain.empty()) return std::nullopt;
 
-  // Grow combinations, pruning on estimated cost (Algorithm 2 lines 10-21).
-  for (size_t n = 1; n < r_set.size() && !p1.empty(); ++n) {
-    std::vector<Combo> p2;
-    std::unordered_set<uint32_t> seen;
-    for (const Combo& s : p1) {
-      for (size_t i = 0; i < r_set.size(); ++i) {
-        uint32_t bit = 1u << i;
-        if (s.mask & bit) continue;
-        if (!RangeOverlaps(s.hull, r_range[i])) continue;
-        uint32_t mask = s.mask | bit;
-        if (seen.count(mask)) continue;
-        size_t cost = s.cost + r_set[i]->result_rows;
-        if (cost >= best_cost) continue;
-        Combo u;
-        u.mask = mask;
-        u.hull.lo = MinLo(s.hull.lo, r_range[i].lo);
-        u.hull.hi = MaxHi(s.hull.hi, r_range[i].hi);
-        u.cost = cost;
-        if (RangeCovers(u.hull, target)) {
-          best_mask = mask;
-          best_cost = cost;
-        } else {
-          seen.insert(mask);
-          p2.push_back(u);
-        }
-      }
-    }
-    p1 = std::move(p2);
-  }
-
-  double alg_ms = alg_timer.ElapsedMillis();
-  if (best_mask == 0) return std::nullopt;
-
-  // --- piecewise execution over disjoint sub-ranges -----------------------
-  std::vector<size_t> chosen;
-  for (size_t i = 0; i < r_set.size(); ++i) {
-    if (best_mask & (1u << i)) chosen.push_back(i);
-  }
-  std::sort(chosen.begin(), chosen.end(), [&](size_t a, size_t b) {
-    // ascending by lower bound; unbounded lows first
-    const RangeBound& la = r_range[a].lo;
-    const RangeBound& lb = r_range[b].lo;
-    if (la.unbounded != lb.unbounded) return la.unbounded;
-    if (la.unbounded) return false;
-    int c = la.v.Compare(lb.v);
-    if (c != 0) return c < 0;
-    return la.inclusive && !lb.inclusive;
-  });
-
+  // Piecewise execution over disjoint sub-ranges: each chain member answers
+  // the part of the target between the previous member's upper bound and
+  // its own.
+  SubsumeOutcome out;
+  out.combined = true;
   RangeBound pos = target.lo;
   std::vector<BatPtr> pieces;
-  std::vector<PoolEntry*> used;
-  bool done = false;
-  for (size_t idx : chosen) {
-    const ValRange& cr = r_range[idx];
-    if (!LoLeHi(pos, cr.hi)) continue;      // already covered past this one
-    if (!LoCovers(cr.lo, pos)) return std::nullopt;  // gap: abort
-    RangeBound piece_hi = MinHi(cr.hi, target.hi);
+  for (size_t idx : chain) {
+    RangeBound piece_hi = MinHi(r[idx].range.hi, target.hi);
     const BatPtr& inter = r_set[idx]->results[0].bat();
     TypeTag t = inter->tail().LogicalType();
     auto piece = engine::Select(inter, BoundValueOrNil(pos, t),
@@ -293,25 +254,15 @@ std::optional<SubsumeOutcome> SubsumptionEngine::TryCombined(
                                 piece_hi.inclusive);
     if (!piece.ok()) return std::nullopt;
     pieces.push_back(std::move(piece).value());
-    used.push_back(r_set[idx]);
-    if (HiCovers(piece_hi, target.hi)) {
-      done = true;
-      break;
-    }
+    out.sources.push_back(r_set[idx]);
     pos.v = piece_hi.v;
     pos.inclusive = !piece_hi.inclusive;
     pos.unbounded = false;
   }
-  if (!done || pieces.empty()) return std::nullopt;
 
   auto cat = engine::Concat(pieces);
   if (!cat.ok()) return std::nullopt;
-
-  SubsumeOutcome out;
   out.results.emplace_back(std::move(cat).value());
-  out.sources = std::move(used);
-  out.combined = true;
-  out.algorithm_ms = alg_ms;
   return out;
 }
 

@@ -1,6 +1,32 @@
 #ifndef RECYCLEDB_CORE_SUBSUMPTION_H_
 #define RECYCLEDB_CORE_SUBSUMPTION_H_
 
+// Run-time instruction subsumption (paper §5): answering a missed
+// instruction from cached intermediates that contain its result.
+//
+// Combined subsumption (§5.2, Algorithm 2) answers a range select from
+// several cached selects over the same column whose ranges jointly cover
+// the target. Algorithm 2 grows connected subsets of the overlapping
+// candidates R level by level. Here the same optimum comes from a chain DP
+// over R sorted by lower bound, in O(|R|²) time and O(|R|) space:
+//
+//  - Costs are non-negative, so some cheapest connected cover has no
+//    redundant member. Sorted by lower bound, the members of such a cover
+//    form a chain: the first covers the target's lower bound, each next one
+//    shares a point with the previous one (as RangeOverlaps) and reaches
+//    past the previous one's upper bound, and the last covers the target's
+//    upper bound. Every chain is also connected, so the cheapest chain
+//    costs what Algorithm 2's cheapest subset costs.
+//  - best[k], the fewest rows of a chain that covers the target's lower
+//    bound and ends with candidate k, is the minimum of k's own rows (when k
+//    covers the lower bound) and best[j] + rows(k) over the earlier
+//    candidates j that k overlaps and extends.
+//
+// The §5.2 cost rule decides: a cover of C rows is taken only when
+// C + overhead_rows is below the size of the column operand, C(S) < C(A).
+// Among covers of equal cost, the DP may pick other sources than a subset
+// search would.
+
 #include <optional>
 #include <vector>
 
@@ -31,24 +57,41 @@ bool RangeCovers(const ValRange& outer, const ValRange& inner);
 /// shared point does not chain in the combined-subsumption algorithm.
 bool RangeOverlaps(const ValRange& a, const ValRange& b);
 
-/// Result of a successful subsumption: the computed results, the pool
-/// entries used as sources, and diagnostics.
+/// One candidate of combined subsumption: a cached select's range and the
+/// rows of its result.
+struct CoverCandidate {
+  ValRange range;
+  size_t rows = 0;
+};
+
+/// The cheapest chain of candidates that covers `target` (the DP above):
+/// positions into `r`, in chain order. Empty when no chain's rows plus
+/// `overhead_rows` are below `base_rows`. Every candidate must overlap
+/// `target` and none may cover it alone, so a chain has two or more members.
+std::vector<size_t> CheapestChainCover(const ValRange& target,
+                                       const std::vector<CoverCandidate>& r,
+                                       size_t overhead_rows, size_t base_rows);
+
+/// Result of a successful subsumption: the computed results and the pool
+/// entries used as sources.
 struct SubsumeOutcome {
   std::vector<MalValue> results;
   std::vector<PoolEntry*> sources;
   bool combined = false;
-  double algorithm_ms = 0;  ///< time spent in the combined-subsumption DP
 };
 
-/// Run-time instruction subsumption (paper §5). Stateless over a pool; all
-/// methods return nullopt when no profitable subsumption exists, in which
-/// case the caller executes the instruction normally.
+/// Stateless over a pool; all methods return nullopt when no profitable
+/// subsumption exists, in which case the caller executes the instruction
+/// normally.
 class SubsumptionEngine {
  public:
   struct Options {
     bool allow_combined = true;
-    size_t max_candidates = 16;   ///< cap on |R| for Algorithm 2
-    size_t overhead_rows = 16;    ///< `ov` of the §5.2 cost model, in rows
+    /// Cap on |R|: the candidates with the fewest rows are kept. It bounds
+    /// the work done under the stripe's exclusive lock when many cached
+    /// selects overlap the target.
+    size_t max_candidates = 16;
+    size_t overhead_rows = 16;  ///< `ov` of the §5.2 cost model, in rows
   };
 
   explicit SubsumptionEngine(RecyclePool* pool)
@@ -59,10 +102,13 @@ class SubsumptionEngine {
   /// Range-select subsumption: singleton (§5.1) first, then combined
   /// (Algorithm 2). `op` may be kSelect or kUselect (an equality select is
   /// the degenerate range [v, v]). `visible_epoch` restricts candidates to
-  /// pool entries visible to the probing query's snapshot.
+  /// pool entries visible to the probing query's snapshot. When
+  /// `combined_ms` is set, it receives the time spent choosing a combined
+  /// cover, whether or not one is found, and 0 when none was tried.
   std::optional<SubsumeOutcome> TrySelect(Opcode op,
                                           const std::vector<MalValue>& args,
-                                          uint64_t visible_epoch = kEpochLatest);
+                                          uint64_t visible_epoch = kEpochLatest,
+                                          double* combined_ms = nullptr);
 
   /// LIKE-pattern subsumption: a cached `%s%` scan covers any pattern whose
   /// guaranteed literal content contains `s`.
@@ -71,13 +117,14 @@ class SubsumptionEngine {
 
   /// Semijoin subsumption: semijoin(X, W) from a cached semijoin(X, V) with
   /// W ⊂ V, established via the pool's subset lattice.
-  std::optional<SubsumeOutcome> TrySemijoin(const std::vector<MalValue>& args,
-                                            uint64_t visible_epoch = kEpochLatest);
+  std::optional<SubsumeOutcome> TrySemijoin(
+      const std::vector<MalValue>& args, uint64_t visible_epoch = kEpochLatest);
 
  private:
   std::optional<SubsumeOutcome> TryCombined(const ValRange& target,
                                             const std::vector<MalValue>& args,
-                                            std::vector<PoolEntry*> cands);
+                                            std::vector<PoolEntry*> cands,
+                                            double* combined_ms);
 
   RecyclePool* pool_;
   Options opts_;

@@ -90,7 +90,8 @@ TEST(TraceParseTest, TraceNonSelectIsAnError) {
 TEST(TraceServiceTest, SpanTreeCoversTheLifecycle) {
   QueryService svc(MakeDb(), OneWorker());
   Session sess;
-  auto r = testutil::RunSql(&svc, &sess, "trace select count(*) from item where i_qty < 50");
+  auto r = testutil::RunSql(
+      &svc, &sess, "trace select count(*) from item where i_qty < 50");
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   ASSERT_NE(r.value().trace, nullptr);
   const obs::QueryTrace& t = *r.value().trace;
@@ -108,9 +109,11 @@ TEST(TraceServiceTest, SpanTreeCoversTheLifecycle) {
   ASSERT_NE(FindSpan(root, "execute"), nullptr);
 
   // Second run: plan-cache hit binds parameters instead of compiling.
-  auto r2 = testutil::RunSql(&svc, &sess, "trace select count(*) from item where i_qty < 50");
+  auto r2 = testutil::RunSql(
+      &svc, &sess, "trace select count(*) from item where i_qty < 50");
   ASSERT_TRUE(r2.ok());
-  const obs::QueryTrace::Span* plan2 = FindSpan(r2.value().trace->root(), "plan");
+  const obs::QueryTrace::Span* plan2 =
+      FindSpan(r2.value().trace->root(), "plan");
   ASSERT_NE(plan2, nullptr);
   EXPECT_EQ(FindSpan(*plan2, "cache_probe")->note, "hit");
   EXPECT_NE(FindSpan(*plan2, "bind_params"), nullptr);
@@ -148,8 +151,9 @@ void CheckDeltas(QueryService& svc, Session& sess, const std::string& sql) {
       << sql;
   // Exit-side records match the recycler's own accounting.
   EXPECT_EQ(t.exact_hits, rafter.exact_hits - rbefore.exact_hits) << sql;
-  EXPECT_EQ(t.subsumed_hits, (rafter.subsumed_hits + rafter.combined_hits) -
-                                 (rbefore.subsumed_hits + rbefore.combined_hits))
+  EXPECT_EQ(t.subsumed_hits,
+            (rafter.subsumed_hits + rafter.combined_hits) -
+                (rbefore.subsumed_hits + rbefore.combined_hits))
       << sql;
   EXPECT_EQ(t.misses, (rafter.monitored - rafter.hits) -
                           (rbefore.monitored - rbefore.hits))
@@ -192,12 +196,14 @@ TEST(TraceServiceTest, DecisionDeltasUnderCreditAdmissionAndBudget) {
   QueryService svc(MakeDb(), cfg);
   Session sess;
   for (int i = 0; i < 8; ++i) {
-    CheckDeltas(svc, sess, StrFormat("trace select count(*), sum(i_price) from item "
-                               "where i_qty between %d and %d",
-                               i, 30 + 7 * i));
+    CheckDeltas(svc, sess,
+                StrFormat("trace select count(*), sum(i_price) from item "
+                          "where i_qty between %d and %d",
+                          i, 30 + 7 * i));
   }
   // Credits were reported on at least one decision (policy != kKeepAll).
-  auto r = testutil::RunSql(&svc, &sess, "trace select count(*) from item where i_qty < 3");
+  auto r = testutil::RunSql(
+      &svc, &sess, "trace select count(*) from item where i_qty < 3");
   ASSERT_TRUE(r.ok());
   bool saw_credits = false;
   for (const obs::RecyclerDecision& d : r.value().trace->decisions())
@@ -242,10 +248,10 @@ TEST(TraceServiceTest, RecentTracesKeepsABoundedRing) {
   Session sess;
   const size_t n = QueryService::kRecentTraceCap + 5;
   for (size_t i = 0; i < n; ++i) {
-    ASSERT_TRUE(
-        testutil::RunSql(&svc, &sess, StrFormat("trace select count(*) from item where i_qty < %d",
-                             static_cast<int>(i)))
-            .ok());
+    const int qty = static_cast<int>(i);
+    std::string sql =
+        StrFormat("trace select count(*) from item where i_qty < %d", qty);
+    ASSERT_TRUE(testutil::RunSql(&svc, &sess, sql).ok());
   }
   auto traces = svc.RecentTraces();
   ASSERT_EQ(traces.size(), QueryService::kRecentTraceCap);
@@ -289,16 +295,21 @@ TEST(TraceServiceTest, DmlCommitRecordsMaintenanceEvents) {
   Session sess;
   sess.set_autocommit(false);  // stage each DML until the explicit COMMIT
   // Warm a pool entry so commit maintenance has something to act on.
-  ASSERT_TRUE(testutil::RunSql(&svc, &sess, "select count(*) from item where i_qty < 50").ok());
-  ASSERT_TRUE(testutil::RunSql(&svc, &sess, "insert into item values (900, 5, 9.5)").ok());
-  ASSERT_TRUE(testutil::RunSql(&svc, &sess, "commit").ok());
-  ASSERT_TRUE(testutil::RunSql(&svc, &sess, "delete from item where i_id = 900").ok());
-  ASSERT_TRUE(testutil::RunSql(&svc, &sess, "commit").ok());
+  auto run = [&](const char* sql) {
+    return testutil::RunSql(&svc, &sess, sql).ok();
+  };
+  ASSERT_TRUE(run("select count(*) from item where i_qty < 50"));
+  ASSERT_TRUE(run("insert into item values (900, 5, 9.5)"));
+  ASSERT_TRUE(run("commit"));
+  ASSERT_TRUE(run("delete from item where i_id = 900"));
+  ASSERT_TRUE(run("commit"));
 
   bool saw_propagate_or_invalidate = false;
   bool saw_invalidate = false;
   for (const obs::Event& e : svc.events().Snapshot()) {
-    if (e.kind == obs::EventKind::kPropagate) saw_propagate_or_invalidate = true;
+    if (e.kind == obs::EventKind::kPropagate) {
+      saw_propagate_or_invalidate = true;
+    }
     if (e.kind == obs::EventKind::kInvalidate) {
       saw_propagate_or_invalidate = true;
       saw_invalidate = true;
@@ -320,9 +331,10 @@ TEST(TraceServiceTest, ConcurrentTracedAndUntracedQueries) {
   Session sess;
   std::vector<std::future<Result<QueryResult>>> futs;
   for (int i = 0; i < 200; ++i) {
-    std::string sql = StrFormat("select count(*) from item where i_qty < %d",
-                                i % 16);
-    futs.push_back(testutil::SubmitSql(&svc, &sess, i % 5 == 0 ? "trace " + sql : sql));
+    std::string sql =
+        StrFormat("select count(*) from item where i_qty < %d", i % 16);
+    if (i % 5 == 0) sql = "trace " + sql;
+    futs.push_back(testutil::SubmitSql(&svc, &sess, sql));
   }
   uint64_t traced = 0;
   for (auto& f : futs) {
@@ -342,7 +354,7 @@ TEST(TraceServiceTest, ConcurrentTracedAndUntracedQueries) {
       EXPECT_EQ(t.exact_hits + t.subsumed_hits + t.misses, entry_records);
     }
   }
-  EXPECT_GE(traced, 200u / 5);               // all explicit TRACEs
+  EXPECT_GE(traced, 200u / 5);  // all explicit TRACEs
   EXPECT_EQ(svc.SnapshotStats().queries_traced, traced);
   EXPECT_FALSE(svc.DumpMetricsJson().empty());
 }
