@@ -9,8 +9,10 @@
 // instruction's time from RecyclerHook::OnExit and never answers from a
 // pool, so every instruction runs. Prints one JSON row per (pattern,
 // instruction): the opcode, the type of its first result's tail, and the
-// microseconds it took per statement; then one total row per pattern. It
-// gates nothing.
+// microseconds it took per statement; then one total row per pattern,
+// which also carries the minor page faults per statement (a getrusage
+// delta over the pattern's statements, compilation included). It gates
+// nothing.
 
 #include <cstdio>
 #include <cstdlib>
@@ -19,6 +21,8 @@
 #include <string>
 #include <utility>
 #include <vector>
+
+#include <sys/resource.h>
 
 #include "interp/interpreter.h"
 #include "sql/planner.h"
@@ -62,6 +66,13 @@ class TimingHook : public RecyclerHook {
   std::map<int, InstrTime>* times_ = nullptr;
 };
 
+/// Minor page faults this process has taken so far.
+long MinorFaults() {
+  struct rusage ru;
+  getrusage(RUSAGE_SELF, &ru);
+  return ru.ru_minflt;
+}
+
 const char* kPatternNames[perfbench::kNumPatterns] = {
     "q6", "q1", "join_count", "histogram", "orders_sum"};
 
@@ -95,6 +106,7 @@ int main(int argc, char** argv) {
   for (int p = 0; p < perfbench::kNumPatterns; ++p) {
     std::map<int, InstrTime> times;
     hook.set_times(&times);
+    const long faults = MinorFaults();
     for (int q = 0; q < queries; ++q) {
       const std::string sql = perfbench::FreshStatement(p, rng);
       auto compiled = recycledb::sql::CompileSql(&cat, sql);
@@ -110,6 +122,7 @@ int main(int argc, char** argv) {
         return 1;
       }
     }
+    const double minflt = static_cast<double>(MinorFaults() - faults) / queries;
     double total_ms = 0;
     for (const auto& [pc, t] : times) {
       total_ms += t.ms;
@@ -121,8 +134,8 @@ int main(int argc, char** argv) {
     }
     std::printf(
         "{\"pattern\": \"%s\", \"op\": \"total\", \"queries\": %d, "
-        "\"us_per_query\": %.1f}\n",
-        kPatternNames[p], queries, 1000.0 * total_ms / queries);
+        "\"us_per_query\": %.1f, \"minflt_per_query\": %.1f}\n",
+        kPatternNames[p], queries, 1000.0 * total_ms / queries, minflt);
   }
   return 0;
 }

@@ -1,6 +1,6 @@
 #include "bat/column.h"
 
-#include <algorithm>
+#include <type_traits>
 
 #include "util/check.h"
 
@@ -10,9 +10,7 @@ namespace {
 
 struct SizeVisitor {
   template <typename T>
-  size_t operator()(const std::vector<T>& v) const {
-    return v.size();
-  }
+  size_t operator()(const std::vector<T>& v) const { return v.size(); }
 };
 
 struct MemVisitor {
@@ -42,9 +40,7 @@ std::shared_ptr<Column> Column::Make<std::string>(TypeTag type,
   return Make(type, std::move(codes), builder.Finish());
 }
 
-size_t Column::size() const {
-  return std::visit(SizeVisitor{}, storage_);
-}
+size_t Column::size() const { return std::visit(SizeVisitor{}, storage_); }
 
 Scalar Column::GetScalar(size_t i) const {
   RDB_CHECK(i < size());
@@ -70,15 +66,26 @@ Scalar Column::GetScalar(size_t i) const {
 }
 
 void Column::ComputeSorted() {
-  sorted_ = std::visit(
+  // One scan: a step down clears both flags, an equal step clears key.
+  auto scan = [&](size_t n, auto less) {
+    sorted_ = key_ = true;
+    for (size_t i = 1; i < n && sorted_; ++i) {
+      if (less(i, i - 1)) {
+        sorted_ = key_ = false;
+      } else if (!less(i - 1, i)) {
+        key_ = false;
+      }
+    }
+  };
+  std::visit(
       [&](const auto& v) {
         using T = typename std::decay_t<decltype(v)>::value_type;
         if constexpr (std::is_same_v<T, StrCode>) {
-          return std::is_sorted(v.begin(), v.end(), [&](StrCode a, StrCode b) {
-            return heap_->Get(a) < heap_->Get(b);
+          scan(v.size(), [&](size_t a, size_t b) {
+            return heap_->Get(v[a]) < heap_->Get(v[b]);
           });
         } else {
-          return std::is_sorted(v.begin(), v.end());
+          scan(v.size(), [&](size_t a, size_t b) { return v[a] < v[b]; });
         }
       },
       storage_);

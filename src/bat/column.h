@@ -21,7 +21,11 @@ using ColumnPtr = std::shared_ptr<const Column>;
 ///
 /// Properties (`sorted`, `key`) steer operator implementation choices: a
 /// range select over a sorted column returns a zero-copy view, a join whose
-/// inner is a key column skips duplicate handling.
+/// inner is a key column skips duplicate handling. They also choose the
+/// join kernel: an inner head of sorted, key oids is probed through a
+/// direct position array, and a fetch through a sorted, key oid list
+/// checks only its endpoints (docs/ENGINE.md, "Joins choose on flags").
+/// Operators trust the flags, so a wrong flag is a wrong answer.
 ///
 /// A string column is one code per row into a shared, deduplicated
 /// StringHeap; `sorted` then means sorted by string content.
@@ -53,7 +57,9 @@ class Column {
     return std::get<std::vector<T>>(storage_);
   }
 
-  /// Ascending-sorted property (nils, if any, must lead).
+  /// Ascending-sorted property, in the values' raw order (strings by
+  /// content). Nils therefore lead, except an oid nil: it is the maximum
+  /// oid and sorts last.
   bool sorted() const { return sorted_; }
   void set_sorted(bool s) { sorted_ = s; }
 
@@ -78,7 +84,9 @@ class Column {
   /// Boxed element access (slow path: printing, tests, tiny results).
   Scalar GetScalar(size_t i) const;
 
-  /// Detects and sets the sorted property by scanning.
+  /// Detects and sets the sorted and key properties by one scan: key when
+  /// the values strictly increase (an unsorted column is not scanned for
+  /// duplicates and is not flagged key).
   void ComputeSorted();
 
  private:

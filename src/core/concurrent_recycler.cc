@@ -364,6 +364,19 @@ std::vector<std::string> ConcurrentRecycler::ContentSignature() const {
   return out;
 }
 
+std::vector<BatPtr> ConcurrentRecycler::ResultBats() const {
+  std::vector<BatPtr> out;
+  for (auto& s : stripes_) {
+    std::shared_lock lock(s->mu);
+    for (const PoolEntry* e : s->core->pool().Entries()) {
+      for (const MalValue& v : e->results) {
+        if (v.is_bat()) out.push_back(v.bat());
+      }
+    }
+  }
+  return out;
+}
+
 size_t ConcurrentRecycler::pool_entries() const {
   size_t n = 0;
   for (auto& s : stripes_) {

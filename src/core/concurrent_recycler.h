@@ -214,6 +214,10 @@ class ConcurrentRecycler {
   /// parity tests against an unstriped Recycler pool.
   std::vector<std::string> ContentSignature() const;
 
+  /// The bat results of every live entry, over every stripe (for tests
+  /// that check results against their values).
+  std::vector<BatPtr> ResultBats() const;
+
   /// The (sub, super) bat-id edges of the subset lattice the stripes share.
   std::vector<std::pair<uint64_t, uint64_t>> SubsetEdges() const {
     return shared_.pool_shared.lattice.Edges();

@@ -32,25 +32,31 @@ Result<BatPtr> PositionalJoin(const BatPtr& l, const BatPtr& r) {
                      SliceSide(r->tail(), roff, len), len);
   }
 
-  // One branch-free pass: does every oid lie inside r's dense head, and do
-  // they strictly increase? Every fetch after Rebase is in range. With
-  // d = v - seq, the top bit of d | ~(d - rn) is set iff d >= rn (a nil
-  // lies past any dense head). `rising` keeps its top bit while each oid
-  // exceeds the one before, which the differences show once every offset
-  // is below rn < 2^63.
+  // Does every oid lie inside r's dense head, and do they strictly
+  // increase? Every fetch after Rebase is in range. With d = v - seq, the
+  // top bit of d | ~(d - rn) is set iff d >= rn (a nil lies past any dense
+  // head). A tail flagged sorted and key strictly increases, so its two
+  // endpoints decide. Otherwise one branch-free pass: `rising` keeps its
+  // top bit while each oid exceeds the one before, which the differences
+  // show once every offset is below rn < 2^63.
   const Oid* lv = ltail.col->Data<Oid>().data() + ltail.offset;
   auto outside = [seq, rn](Oid v) {
     const Oid d = v - seq;
     return d | ~(d - rn);
   };
   uint64_t out_bits = ln == 0 ? 0 : outside(lv[0]);
-  uint64_t rising = ~uint64_t{0};
-  for (size_t i = 1; i < ln; ++i) {
-    out_bits |= outside(lv[i]);
-    rising &= lv[i - 1] - lv[i];
+  bool increasing = true;
+  if (ltail.col->sorted() && ltail.col->key()) {
+    if (ln > 1) out_bits |= outside(lv[ln - 1]);
+  } else {
+    uint64_t rising = ~uint64_t{0};
+    for (size_t i = 1; i < ln; ++i) {
+      out_bits |= outside(lv[i]);
+      rising &= lv[i - 1] - lv[i];
+    }
+    increasing = (rising >> 63) != 0;
   }
   const bool inside = (out_bits >> 63) == 0;
-  const bool increasing = (rising >> 63) != 0;
   if (inside) {
     // l's head carries over as it is, so a dense head stays dense and a
     // materialised one is shared; r's tail is gathered directly.
@@ -72,6 +78,37 @@ Result<BatPtr> PositionalJoin(const BatPtr& l, const BatPtr& r) {
   sel_l.resize(k);
   pos_r.resize(k);
   return Bat::Make(TakeSide(l->head(), sel_l), TakeSide(r->tail(), pos_r), k);
+}
+
+/// Direct-addressed join over the `span` oids r.head's values lie in,
+/// from its first: a position array over that range finds each probe's
+/// match with one subtract, one compare and one load, and the output is
+/// BatchProbeUnique's, row for row.
+Result<BatPtr> DirectJoin(const BatPtr& l, const BatPtr& r, size_t span) {
+  const BatSide& rhead = r->head();
+  const Oid* rv = rhead.col->Data<Oid>().data() + rhead.offset;
+  const size_t rn = r->size(), ln = l->size();
+  const Oid lo = rv[0];
+  constexpr uint32_t kAbsent = ~uint32_t{0};
+  std::vector<uint32_t> row_of(span, kAbsent);
+  for (size_t j = 0; j < rn; ++j) row_of[rv[j] - lo] = static_cast<uint32_t>(j);
+  std::vector<Oid> tmp;
+  const Oid* keys = RawSideArray<Oid>(l->tail(), ln, &tmp);
+  // Every pair is written and only a match advances the cursor; a nil or
+  // out-of-range probe reads slot 0 instead.
+  SelVector sel_l(ln), pos_r(ln);
+  size_t o = 0;
+  for (size_t i = 0; i < ln; ++i) {
+    const Oid d = keys[i] - lo;
+    const bool in = d < span;
+    const uint32_t j = row_of[in ? d : 0];
+    sel_l[o] = static_cast<uint32_t>(i);
+    pos_r[o] = j;
+    o += in & (j != kAbsent);
+  }
+  sel_l.resize(o);
+  pos_r.resize(o);
+  return Bat::Make(TakeSide(l->head(), sel_l), TakeSide(r->tail(), pos_r), o);
 }
 
 template <typename T>
@@ -109,6 +146,19 @@ Result<BatPtr> HashJoin(const BatPtr& l, const BatPtr& r) {
 
 }  // namespace
 
+size_t DirectJoinSpan(const Bat& l, const Bat& r) {
+  const BatSide& rhead = r.head();
+  const size_t rn = r.size();
+  if (rhead.dense() || rhead.type != TypeTag::kOid || rn == 0 ||
+      !rhead.col->sorted() || !rhead.col->key())
+    return 0;
+  // A nil oid is the maximum, so a sorted head holds one only at its end.
+  const Oid* rv = rhead.col->Data<Oid>().data() + rhead.offset;
+  const Oid lo = rv[0], hi = rv[rn - 1];
+  if (hi == kNilOid || hi - lo >= l.size() + rn) return 0;
+  return hi - lo + 1;
+}
+
 Result<BatPtr> Join(const BatPtr& l, const BatPtr& r) {
   TypeTag lt = l->tail().LogicalType();
   TypeTag rt = r->head().LogicalType();
@@ -116,6 +166,7 @@ Result<BatPtr> Join(const BatPtr& l, const BatPtr& r) {
     return Status::TypeMismatch("join key types are incompatible");
 
   if (r->head().dense()) return PositionalJoin(l, r);
+  if (size_t span = DirectJoinSpan(*l, *r)) return DirectJoin(l, r, span);
 
   return VisitPhysical(rt, [&](auto tag) -> Result<BatPtr> {
     using T = typename decltype(tag)::type;

@@ -22,7 +22,8 @@ bool IncreasingSel(const SelVector& sel) {
 /// `out`. `increasing()` tells whether those positions strictly increase;
 /// it is asked only when a result flag depends on it. A dense side
 /// materialises to oids `seq + p`, sorted and key when increasing; a
-/// materialised side stays sorted when increasing, and shares its heap.
+/// materialised side keeps `sorted` and `key` when increasing, and shares
+/// its heap.
 template <typename Write, typename Increasing>
 BatSide GatherSide(const BatSide& side, size_t n, Write write,
                    Increasing increasing) {
@@ -43,7 +44,12 @@ BatSide GatherSide(const BatSide& side, size_t n, Write write,
     std::vector<T> out(n);
     write(out.data(), [src](size_t p) -> T { return src[p]; });
     auto col = Column::Make(t, std::move(out), side.col->heap());
-    if (side.col->sorted()) col->set_sorted(increasing());
+    const bool sorted = side.col->sorted(), key = side.col->key();
+    if (sorted || key) {
+      const bool inc = increasing();
+      col->set_sorted(sorted && inc);
+      col->set_key(key && inc);
+    }
     return BatSide::Materialized(std::move(col));
   });
 }

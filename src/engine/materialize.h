@@ -14,8 +14,8 @@ using SelVector = std::vector<uint32_t>;
 
 /// Gathers `side` values at positions `sel` into a freshly materialised
 /// side of exactly `sel.size()` values. Dense sides materialise to oid
-/// columns. If the gathered positions are a strictly increasing run and the
-/// source is sorted, the sortedness property is preserved.
+/// columns. If the gathered positions are a strictly increasing run, the
+/// source's sorted and key properties are preserved.
 BatSide TakeSide(const BatSide& side, const SelVector& sel);
 
 /// Gathers `side` at positions `oids[i] - seq` for i in [0, n): the

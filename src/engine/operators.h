@@ -37,8 +37,17 @@ Result<BatPtr> SelectNotNil(const BatPtr& b);
 // ---------------------------------------------------------------------------
 
 /// Equi-join `l.tail == r.head`, emitting (l.head, r.tail) in left order.
-/// Fast path when r.head is dense: positional fetch (projection join).
+/// The kernel follows r.head's flags: a dense head is a positional fetch
+/// (projection join); a head within DirectJoinSpan is probed through a
+/// position array; a key head takes the unique-inner hash probe, any other
+/// the general one (docs/ENGINE.md, "Joins choose on flags").
 Result<BatPtr> Join(const BatPtr& l, const BatPtr& r);
+
+/// The number of oids a direct-addressed Join of `l` with `r` indexes, or
+/// 0 when it hashes instead: r.head must be an oid column flagged sorted
+/// and key, without nils, whose values span fewer than |l| + |r| oids, so
+/// the position array is no larger than the inputs.
+size_t DirectJoinSpan(const Bat& l, const Bat& r);
 
 /// Semijoin: pairs of `l` whose *head* value appears among `r`'s heads
 /// (MonetDB semantics; implements relational projection of candidates).

@@ -63,6 +63,12 @@ TEST(ColumnTest, BasicProperties) {
   auto sorted = Column::Make(TypeTag::kInt, std::vector<int32_t>{1, 2, 3});
   sorted->ComputeSorted();
   EXPECT_TRUE(sorted->sorted());
+  EXPECT_TRUE(sorted->key()) << "strictly increasing values are distinct";
+  auto ties = Column::Make(TypeTag::kInt, std::vector<int32_t>{1, 2, 2});
+  ties->set_key(true);
+  ties->ComputeSorted();
+  EXPECT_TRUE(ties->sorted());
+  EXPECT_FALSE(ties->key());
 }
 
 TEST(ColumnTest, MemoryBytes) {

@@ -508,5 +508,42 @@ TEST(MvccStringHeapTest, CommitsAddingStringsLeaveOldSnapshotsIntact) {
     EXPECT_EQ(held_bat->TailAt(i).AsStr(), held_strings[i]);
 }
 
+// ---------------------------------------------------------------------------
+// A commit rebuilds each changed column and rescans its flags. A column
+// that still strictly increases stays key, as o_orderkey was loaded; a
+// duplicate leaves it sorted but not key. Joins choose their kernel on
+// these flags, so both must match the values.
+// ---------------------------------------------------------------------------
+TEST(MvccFlagTest, CommitKeepsKeyOnlyWhileValuesStrictlyIncrease) {
+  auto cat = std::make_unique<Catalog>();
+  tpch::TpchConfig tcfg;
+  tcfg.scale_factor = 0.001;
+  ASSERT_TRUE(tpch::LoadTpch(cat.get(), tcfg).ok());
+  QueryService svc(std::move(cat), ServiceConfig{});
+  auto orderkey = [&] {
+    BatPtr b =
+        svc.CurrentSnapshot()->BindColumn("orders", "o_orderkey").ValueOrDie();
+    return b->tail().col;
+  };
+  ASSERT_TRUE(orderkey()->sorted());
+  ASSERT_TRUE(orderkey()->key());
+
+  const std::string insert =
+      "insert into orders values (900001, 1, 'O', 10.5, date '1995-03-01', "
+      "'5-LOW', 'flag check')";
+  Session writer;
+  writer.set_autocommit(false);
+  ASSERT_TRUE(RunStmt(&svc, insert, &writer).ok());
+  ASSERT_TRUE(RunStmt(&svc, "commit", &writer).ok());
+  EXPECT_EQ(orderkey()->Data<Oid>().back(), Oid{900001});
+  EXPECT_TRUE(orderkey()->sorted());
+  EXPECT_TRUE(orderkey()->key()) << "a larger key keeps the column key";
+
+  ASSERT_TRUE(RunStmt(&svc, insert, &writer).ok());
+  ASSERT_TRUE(RunStmt(&svc, "commit", &writer).ok());
+  EXPECT_TRUE(orderkey()->sorted());
+  EXPECT_FALSE(orderkey()->key()) << "a duplicate key clears the flag";
+}
+
 }  // namespace
 }  // namespace recycledb

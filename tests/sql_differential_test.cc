@@ -8,7 +8,8 @@
 // Every other statement runs on the test thread against the service's own
 // shared pool, behind a hook that records the bats it sees; every
 // subset-lattice edge between two recorded bats must be a true head-set
-// subset.
+// subset. Every pool result's sorted/key flags must hold for its values,
+// since joins and fetches choose their kernels on them.
 
 #include <gtest/gtest.h>
 
@@ -29,6 +30,7 @@
 #include "sql/parser.h"
 #include "sql/planner.h"
 #include "sql_test_util.h"
+#include "testing/flag_oracle.h"
 #include "tpch/tpch.h"
 #include "util/date.h"
 #include "util/rng.h"
@@ -388,6 +390,7 @@ TEST(SqlDifferentialTest, FoldedAndParentSidePlansMatchAPlainInterpreter) {
 
   Rng rng(38);
   std::set<std::pair<uint64_t, uint64_t>> checked;
+  std::unordered_set<uint64_t> flagged;
   for (int i = 0; i < 360; ++i) {
     const std::string sql = Statement(i % kPatterns, rng);
     auto want = perfbench::ReferenceAnswer(&cat, sql);
@@ -411,6 +414,13 @@ TEST(SqlDifferentialTest, FoldedAndParentSidePlansMatchAPlainInterpreter) {
     if (i % kPatterns == 16) CheckGroupOracle(&cat, sql, got.value());
     if (i % kPatterns == 17) CheckOrderOracle(&cat, sql, got.value());
 
+    // Pool results are immutable, so each is checked once, when it
+    // first appears.
+    for (const BatPtr& b : svc.recycler().ResultBats()) {
+      if (!flagged.insert(b->id()).second) continue;
+      EXPECT_EQ(oracle::BatFlagError(*b), "")
+          << "pool result " << b->id() << ", after " << sql;
+    }
     for (const auto& edge : svc.recycler().SubsetEdges()) {
       if (checked.count(edge) != 0) continue;
       BatPtr sub = hook.Find(edge.first), super = hook.Find(edge.second);
