@@ -104,6 +104,16 @@ std::shared_ptr<Column> Column::Make<std::string>(TypeTag type,
                                                  std::vector<std::string> v,
                                                  StringHeapPtr heap);
 
+/// The number of oids from the first to the last of `n` ascending,
+/// distinct oids `v`, or 0 when they hold a nil (an oid nil is the
+/// maximum, so it would be last) or span `limit` oids or more. A position
+/// array over that span finds a value's position with one subtract, one
+/// compare and one load; `limit` keeps the array no larger than the inputs.
+inline size_t DirectSpan(const Oid* v, size_t n, size_t limit) {
+  if (n == 0 || v[n - 1] == kNilOid || v[n - 1] - v[0] >= limit) return 0;
+  return v[n - 1] - v[0] + 1;
+}
+
 }  // namespace recycledb
 
 #endif  // RECYCLEDB_BAT_COLUMN_H_

@@ -2,34 +2,44 @@
 
 #include <algorithm>
 #include <memory>
-#include <unordered_map>
 #include <unordered_set>
 
+#include "bat/hash_index.h"
 #include "util/check.h"
 #include "util/str.h"
+#include "util/timer.h"
 
 namespace recycledb {
 
 namespace {
 
-/// One column after a write set: `src` compacted by the deleted-row bitmap
-/// (rows at or past `deleted.size()` are dropped), then value `ci` of every
-/// inserted row appended. `kept` is the surviving row count (a reserve
-/// hint). When `inserted` is non-null and the write set inserts rows, it
-/// receives a column of just the inserted values.
+/// The write set's delete oids below `rows`, sorted and without
+/// duplicates: the positions a merge drops.
+std::vector<Oid> SortedDeletes(const std::vector<Oid>& deletes, size_t rows) {
+  std::vector<Oid> out;
+  out.reserve(deletes.size());
+  for (Oid o : deletes) {
+    if (o < rows) out.push_back(o);
+  }
+  std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
+  return out;
+}
+
+/// One column after a write set: `src` without the rows at the sorted
+/// positions `deleted`, then value `ci` of every inserted row appended.
+/// The rows between two deleted positions are copied as one run, so a
+/// table that lost no rows is copied in one piece. When `inserted` is
+/// non-null and the write set inserts rows, it receives a column of just
+/// the inserted values.
 ColumnPtr MergeColumn(TypeTag type, const Column& src,
-                      const std::vector<bool>& deleted, size_t kept,
+                      const std::vector<Oid>& deleted,
                       const std::vector<std::vector<Scalar>>& inserts,
                       size_t ci, ColumnPtr* inserted) {
   ColumnPtr merged;
   VisitPhysical(type, [&](auto tag) {
     using T = typename decltype(tag)::type;
     const auto& data = src.Data<T>();
-    std::vector<T> fresh;
-    fresh.reserve(kept + inserts.size());
-    for (size_t i = 0; i < data.size() && i < deleted.size(); ++i) {
-      if (!deleted[i]) fresh.push_back(data[i]);
-    }
     std::vector<T> ins;
     ins.reserve(inserts.size());
     StringHeapPtr heap = src.heap();
@@ -51,6 +61,14 @@ ColumnPtr MergeColumn(TypeTag type, const Column& src,
     }
     if (inserted != nullptr && !ins.empty())
       *inserted = Column::Make(type, ins, heap);
+    std::vector<T> fresh;
+    fresh.reserve(data.size() - deleted.size() + ins.size());
+    auto from = data.begin();
+    for (Oid d : deleted) {
+      fresh.insert(fresh.end(), from, data.begin() + d);
+      from = data.begin() + d + 1;
+    }
+    fresh.insert(fresh.end(), from, data.end());
     fresh.insert(fresh.end(), ins.begin(), ins.end());
     auto col = Column::Make(type, std::move(fresh), std::move(heap));
     col->set_persistent(true);
@@ -58,6 +76,14 @@ ColumnPtr MergeColumn(TypeTag type, const Column& src,
     merged = std::move(col);
   });
   return merged;
+}
+
+/// Microseconds since `*t`, which moves to now.
+double LapUs(int64_t* t) {
+  const int64_t now = NowNanos();
+  const double us = static_cast<double>(now - *t) / 1e3;
+  *t = now;
+  return us;
 }
 
 }  // namespace
@@ -230,24 +256,44 @@ Status Catalog::RegisterFkIndex(const std::string& name,
   return Status::OK();
 }
 
-ColumnPtr Catalog::BuildFkMap(const ColumnPtr& child_key,
-                              const ColumnPtr& parent_key) {
-  const auto& cvals = child_key->Data<Oid>();
-  const auto& pvals = parent_key->Data<Oid>();
-  std::unordered_map<Oid, Oid> ppos;
-  ppos.reserve(pvals.size());
-  for (size_t j = 0; j < pvals.size(); ++j) ppos.emplace(pvals[j], j);
-  std::vector<Oid> map(cvals.size());
-  for (size_t i = 0; i < cvals.size(); ++i) {
-    auto it = ppos.find(cvals[i]);
-    map[i] = it == ppos.end() ? kNilOid : it->second;
+ColumnPtr Catalog::BuildFkMap(const Column& child_key,
+                              const Column& parent_key) {
+  const auto& cv = child_key.Data<Oid>();
+  const auto& pv = parent_key.Data<Oid>();
+  const size_t cn = cv.size(), pn = pv.size();
+  std::vector<Oid> map(cn);
+  const size_t span = parent_key.sorted() && parent_key.key()
+                          ? DirectSpan(pv.data(), pn, cn + pn)
+                          : 0;
+  if (span != 0) {
+    // Distinct ascending parent keys: a position array over their span. A
+    // nil child key lies past the span (the parent's last key is below the
+    // nil), so it misses like any key outside it, reading slot 0 instead.
+    constexpr uint32_t kAbsent = ~uint32_t{0};
+    const Oid lo = pv[0];
+    std::vector<uint32_t> row_of(span, kAbsent);
+    for (size_t j = 0; j < pn; ++j)
+      row_of[pv[j] - lo] = static_cast<uint32_t>(j);
+    for (size_t i = 0; i < cn; ++i) {
+      const Oid d = cv[i] - lo;
+      const bool in = d < span;
+      const uint32_t j = row_of[in ? d : 0];
+      map[i] = in && j != kAbsent ? j : kNilOid;
+    }
+  } else {
+    // The index holds no nil parent key and finds no nil child key.
+    HashIndexT<Oid> index(pv.data(), pn);
+    for (size_t i = 0; i < cn; ++i) {
+      const size_t j = index.FindFirst(cv[i]);
+      map[i] = j == SIZE_MAX ? kNilOid : j;
+    }
   }
   auto col = Column::Make(TypeTag::kOid, std::move(map));
   col->set_persistent(true);
   return col;
 }
 
-Status Catalog::RebuildIndex(FkIndex* idx) {
+Status Catalog::RebuildIndex(FkIndex* idx, bool* changed) {
   const Table* c = tables_[idx->child_table].get();
   const Table* p = tables_[idx->parent_table].get();
   const ColumnPtr& ckey = c->column(idx->child_key);
@@ -256,7 +302,11 @@ Status Catalog::RebuildIndex(FkIndex* idx) {
     return Status::Internal("fk index over unloaded columns");
   if (ckey->type() != TypeTag::kOid || pkey->type() != TypeTag::kOid)
     return Status::InvalidArgument("fk keys must be oid-typed");
-  idx->map = BuildFkMap(ckey, pkey);
+  ColumnPtr map = BuildFkMap(*ckey, *pkey);
+  const bool same =
+      idx->map != nullptr && idx->map->Data<Oid>() == map->Data<Oid>();
+  if (!same) idx->map = std::move(map);
+  if (changed != nullptr) *changed = !same;
   return Status::OK();
 }
 
@@ -476,11 +526,14 @@ void Catalog::InvalidateBindCache(int32_t table_id) {
   }
 }
 
-Status Catalog::CommitWrite(TxnWriteSet* ws) {
+Status Catalog::CommitWrite(TxnWriteSet* ws, CommitPhases* phases) {
   if (ws->Empty()) {
     ws->deltas.clear();
     return Status::OK();
   }
+  CommitPhases local;
+  if (phases == nullptr) phases = &local;
+  int64_t lap = NowNanos();
 
   // --- Phase 1: first-writer-wins conflict check + coordinate remap. Pure
   // over the catalog — a WriteConflict return leaves every table, cache,
@@ -541,26 +594,16 @@ Status Catalog::CommitWrite(TxnWriteSet* ws) {
     Table* t = tables_[tid].get();
     updated_tables.push_back(tid);
     last_commit_insert_only_[tid] = delta.deletes.empty();
-    const std::vector<Oid>& cur_deletes =
-        remapped.count(tid) ? remapped[tid] : delta.deletes;
-
-    std::vector<bool> deleted(t->rows_, false);
-    size_t del_count = 0;
-    for (Oid o : cur_deletes) {
-      if (o < t->rows_ && !deleted[o]) {
-        deleted[o] = true;
-        ++del_count;
-      }
-    }
-    size_t kept = t->rows_ - del_count;
+    const std::vector<Oid> deleted = SortedDeletes(
+        remapped.count(tid) ? remapped[tid] : delta.deletes, t->rows_);
+    const size_t kept = t->rows_ - deleted.size();
 
     for (size_t ci = 0; ci < t->num_columns(); ++ci) {
       TypeTag ctype = t->defs_[ci].type;
       const ColumnPtr& old = t->cols_[ci];
       RDB_CHECK(old != nullptr);
       ColumnPtr ins;
-      t->cols_[ci] =
-          MergeColumn(ctype, *old, deleted, kept, delta.inserts, ci, &ins);
+      t->cols_[ci] = MergeColumn(ctype, *old, deleted, delta.inserts, ci, &ins);
       // Record the insert delta for §6.3 propagation.
       if (ins != nullptr) {
         last_insert_delta_[{tid, static_cast<int>(ci)}] = Bat::Make(
@@ -571,8 +614,11 @@ Status Catalog::CommitWrite(TxnWriteSet* ws) {
     t->rows_ = kept + delta.inserts.size();
     InvalidateBindCache(tid);
   }
+  phases->merge_us = LapUs(&lap);
 
-  // Rebuild join indices touching any updated table.
+  // Rebuild join indices touching any updated table. An index whose map
+  // came out unchanged keeps its column and bound BAT, and is not reported:
+  // pool entries over it stay valid.
   for (size_t k = 0; k < indices_.size(); ++k) {
     FkIndex& idx = indices_[k];
     bool touched = false;
@@ -580,7 +626,9 @@ Status Catalog::CommitWrite(TxnWriteSet* ws) {
       if (idx.child_table == tid || idx.parent_table == tid) touched = true;
     }
     if (!touched) continue;
-    RDB_RETURN_NOT_OK(RebuildIndex(&idx));
+    bool changed = false;
+    RDB_RETURN_NOT_OK(RebuildIndex(&idx, &changed));
+    if (!changed) continue;
     {
       std::lock_guard<std::mutex> lock(bind_mu_);
       index_bind_cache_.erase(static_cast<int>(k));
@@ -588,6 +636,18 @@ Status Catalog::CommitWrite(TxnWriteSet* ws) {
     invalidated.push_back({idx.child_table,
                            kIndexColBase + static_cast<int32_t>(k)});
   }
+  phases->index_us = LapUs(&lap);
+
+  ws->deltas.clear();
+  if (invalidated.empty()) return Status::OK();  // all deltas were empty
+  // Commit = merge deltas, let the listener reconcile the recycler pool and
+  // plan cache against the columns that changed, and only THEN publish the
+  // new snapshot and bump the epoch. Submissions that capture a snapshot
+  // before the publish keep reading the previous version; submissions after
+  // it see a fully reconciled pool — no reader ever observes a half-applied
+  // commit.
+  if (listener_) listener_(invalidated, UpdateKind::kData);
+  phases->pool_us = LapUs(&lap);
 
   // Record this commit's deletes (in the pre-commit coordinates computed by
   // phase 1) so later-committing transactions that began before it can be
@@ -607,17 +667,8 @@ Status Catalog::CommitWrite(TxnWriteSet* ws) {
       hist.erase(hist.begin());
     }
   }
-
-  ws->deltas.clear();
-  if (invalidated.empty()) return Status::OK();  // all deltas were empty
-  // Commit = merge deltas, let the listener reconcile the recycler pool and
-  // plan cache against the columns that changed, and only THEN publish the
-  // new snapshot and bump the epoch. Submissions that capture a snapshot
-  // before the publish keep reading the previous version; submissions after
-  // it see a fully reconciled pool — no reader ever observes a half-applied
-  // commit.
-  if (listener_) listener_(invalidated, UpdateKind::kData);
   PublishSnapshot();
+  phases->publish_us = LapUs(&lap);
   return Status::OK();
 }
 
@@ -643,15 +694,8 @@ Result<CatalogSnapshotPtr> Catalog::OverlaySnapshot(
     // snapshot — the write set's delete oids are in its coordinates.
     RDB_ASSIGN_OR_RETURN(BatPtr probe,
                          base->BindColumn(tname, t->column_name(0)));
-    const size_t base_rows = probe->size();
-    std::vector<bool> deleted(base_rows, false);
-    for (Oid o : delta.deletes) {
-      if (o < base_rows) deleted[o] = true;
-    }
-    size_t kept = base_rows;
-    for (Oid o : delta.deletes) {
-      if (o < base_rows) --kept;
-    }
+    const std::vector<Oid> deleted =
+        SortedDeletes(delta.deletes, probe->size());
 
     for (size_t ci = 0; ci < t->num_columns(); ++ci) {
       const std::string& cname = t->column_name(static_cast<int>(ci));
@@ -659,7 +703,7 @@ Result<CatalogSnapshotPtr> Catalog::OverlaySnapshot(
       const ColumnPtr& old = bound->tail().col;
       if (old == nullptr)
         return Status::Internal("overlay over non-materialized base column");
-      ColumnPtr merged = MergeColumn(t->defs_[ci].type, *old, deleted, kept,
+      ColumnPtr merged = MergeColumn(t->defs_[ci].type, *old, deleted,
                                      delta.inserts, ci, nullptr);
       fresh_cols[tid][static_cast<int>(ci)] = merged;
       snap->cols_[{tname, cname}] = CatalogSnapshot::View{
@@ -694,7 +738,7 @@ Result<CatalogSnapshotPtr> Catalog::OverlaySnapshot(
       return Status::InvalidArgument("fk keys must be oid-typed");
     snap->indices_[idx.name] = CatalogSnapshot::View{
         {idx.child_table, kIndexColBase + static_cast<int32_t>(k)},
-        Bat::DenseHead(BuildFkMap(ckey, pkey))};
+        Bat::DenseHead(BuildFkMap(*ckey, *pkey))};
   }
   return CatalogSnapshotPtr(std::move(snap));
 }

@@ -134,6 +134,15 @@ struct TxnWriteSet {
   }
 };
 
+/// Where one Catalog::CommitWrite spent its time, in microseconds, phase
+/// by phase in the order they run.
+struct CommitPhases {
+  double merge_us = 0;    ///< conflict remap and the delta merge of columns
+  double index_us = 0;    ///< FK-index rebuilds over the touched tables
+  double pool_us = 0;     ///< the update listener (pool, plan cache)
+  double publish_us = 0;  ///< commit history and the snapshot publish
+};
+
 /// The database catalog: tables, persistent columns, foreign-key join
 /// indices, and the update path. Bind results are cached so repeated binds
 /// of an unchanged column return the *same* BAT object — persistent bats
@@ -240,9 +249,13 @@ class Catalog {
   /// then the delta merge — inserts appended, deletions compacted, join
   /// indices rebuilt, bind caches refreshed, the update listener notified
   /// ONCE with every invalidated ColumnId, and the next snapshot epoch
-  /// published. The write set is cleared on success. Must be externally
-  /// serialised like every mutator (the service's exclusive update lock).
-  Status CommitWrite(TxnWriteSet* ws);
+  /// published. A rebuilt join index equal to the current one keeps its
+  /// column and bound BAT and is not reported to the listener, so pool
+  /// entries over it survive. The write set is cleared on success;
+  /// `phases`, when non-null, receives the time each phase took. Must be
+  /// externally serialised like every mutator (the service's exclusive
+  /// update lock).
+  Status CommitWrite(TxnWriteSet* ws, CommitPhases* phases = nullptr);
 
   /// The transaction's read view: `base` (its begin snapshot) with the
   /// write set's deltas merged in — fresh columns for every touched table
@@ -303,11 +316,18 @@ class Catalog {
     std::vector<Oid> deleted_sorted;  ///< oids deleted, pre-commit coords
   };
 
-  Status RebuildIndex(FkIndex* idx);
-  /// Builds the [child row -> parent row] FK map by key matching; the
-  /// overlay path reuses it over merged transaction-local columns.
-  static ColumnPtr BuildFkMap(const ColumnPtr& child_key,
-                              const ColumnPtr& parent_key);
+  /// Rebuilds idx->map from the current key columns. When the rebuilt map
+  /// equals the current one, the current column stays and `*changed`
+  /// (when non-null) is set false.
+  Status RebuildIndex(FkIndex* idx, bool* changed = nullptr);
+  /// Builds the [child row -> parent row] FK map: each child key maps to
+  /// the first parent row with an equal key, or to nil when there is none.
+  /// A nil key never matches. A parent key flagged sorted and key whose
+  /// DirectSpan is below |child| + |parent| is looked up through a position
+  /// array, any other through a HashIndexT. The overlay path reuses it over
+  /// merged transaction-local columns.
+  static ColumnPtr BuildFkMap(const Column& child_key,
+                              const Column& parent_key);
   void InvalidateBindCache(int32_t table_id);
   /// Bumps the epoch and atomically installs a fresh immutable snapshot of
   /// every loaded column/index (resolved through the bind caches, so

@@ -527,9 +527,6 @@ std::vector<Recycler::Refresh> Recycler::CollectRefreshes(
         continue;
     }
     if (!piece.ok()) continue;
-    auto merged =
-        engine::Concat({e->results[0].bat(), std::move(piece).value()});
-    if (!merged.ok()) continue;
     auto fresh_bind = catalog->BindColumn(table, column);
     if (!fresh_bind.ok()) continue;
 
@@ -537,7 +534,15 @@ std::vector<Recycler::Refresh> Recycler::CollectRefreshes(
     r.op = e->op;
     r.args = e->args;
     r.args[0] = MalValue(fresh_bind.value());
-    r.results.emplace_back(std::move(merged).value());
+    if (piece.value()->size() == 0) {
+      // No delta row qualifies: the old result is the refreshed one.
+      r.results.push_back(e->results[0]);
+    } else {
+      auto merged =
+          engine::Concat({e->results[0].bat(), std::move(piece).value()});
+      if (!merged.ok()) continue;
+      r.results.emplace_back(std::move(merged).value());
+    }
     r.cost_ms = e->cost_ms;
     r.deps = e->deps;
     r.source_tid = e->source_tid;

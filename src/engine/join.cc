@@ -149,14 +149,11 @@ Result<BatPtr> HashJoin(const BatPtr& l, const BatPtr& r) {
 size_t DirectJoinSpan(const Bat& l, const Bat& r) {
   const BatSide& rhead = r.head();
   const size_t rn = r.size();
-  if (rhead.dense() || rhead.type != TypeTag::kOid || rn == 0 ||
-      !rhead.col->sorted() || !rhead.col->key())
+  if (rhead.dense() || rhead.type != TypeTag::kOid || !rhead.col->sorted() ||
+      !rhead.col->key())
     return 0;
-  // A nil oid is the maximum, so a sorted head holds one only at its end.
-  const Oid* rv = rhead.col->Data<Oid>().data() + rhead.offset;
-  const Oid lo = rv[0], hi = rv[rn - 1];
-  if (hi == kNilOid || hi - lo >= l.size() + rn) return 0;
-  return hi - lo + 1;
+  return DirectSpan(rhead.col->Data<Oid>().data() + rhead.offset, rn,
+                    l.size() + rn);
 }
 
 Result<BatPtr> Join(const BatPtr& l, const BatPtr& r) {

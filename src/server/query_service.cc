@@ -99,6 +99,10 @@ QueryService::QueryService(Catalog* catalog, ServiceConfig cfg)
   h_query_exec_us_ = metrics_.AddHistogram("query_exec_us");
   h_sql_parse_us_ = metrics_.AddHistogram("sql_parse_us");
   h_sql_compile_us_ = metrics_.AddHistogram("sql_compile_us");
+  h_commit_merge_us_ = metrics_.AddHistogram("commit_merge_us");
+  h_commit_index_us_ = metrics_.AddHistogram("commit_index_us");
+  h_commit_pool_us_ = metrics_.AddHistogram("commit_pool_us");
+  h_commit_publish_us_ = metrics_.AddHistogram("commit_publish_us");
   metrics_.AddGaugeFn("pool_entries",
                       [this] { return recycler_.pool_entries(); });
   metrics_.AddGaugeFn("pool_bytes", [this] { return recycler_.pool_bytes(); });
@@ -432,7 +436,8 @@ Result<QueryResult> QueryService::ExecuteDml(const sql::Statement& stmt,
         // success the listener fires (pool/plan maintenance) and the next
         // snapshot publishes, ONCE for the whole transaction, while we
         // hold the update lock exclusively.
-        Status cs = cat->CommitWrite(&txn->ws);
+        CommitPhases phases;
+        Status cs = cat->CommitWrite(&txn->ws, &phases);
         if (!cs.ok()) {
           if (cs.code() == StatusCode::kWriteConflict) {
             c_txn_conflicts_->Add(1);
@@ -442,7 +447,7 @@ Result<QueryResult> QueryService::ExecuteDml(const sql::Statement& stmt,
           return cs;
         }
         c_txn_committed_->Add(1);
-        c_dml_commits_->Add(1);
+        RecordCommit(phases);
         return Status::OK();
       });
       if (!st.ok()) return st;
@@ -507,13 +512,22 @@ Result<QueryResult> QueryService::ExecuteDml(const sql::Statement& stmt,
     TxnWriteSet ws = cat->BeginWrite();
     RDB_RETURN_NOT_OK(
         RunDmlStatement(cat, stmt, &ws, nullptr, nullptr, &out));
-    RDB_RETURN_NOT_OK(cat->CommitWrite(&ws));
-    c_dml_commits_->Add(1);
+    CommitPhases phases;
+    RDB_RETURN_NOT_OK(cat->CommitWrite(&ws, &phases));
+    RecordCommit(phases);
     out.values.emplace_back("committed", Scalar::Lng(1));
     return Status::OK();
   });
   if (!st.ok()) return st;
   return out;
+}
+
+void QueryService::RecordCommit(const CommitPhases& phases) {
+  c_dml_commits_->Add(1);
+  h_commit_merge_us_->Record(static_cast<uint64_t>(phases.merge_us));
+  h_commit_index_us_->Record(static_cast<uint64_t>(phases.index_us));
+  h_commit_pool_us_->Record(static_cast<uint64_t>(phases.pool_us));
+  h_commit_publish_us_->Record(static_cast<uint64_t>(phases.publish_us));
 }
 
 Status QueryService::RunDmlStatement(Catalog* cat, const sql::Statement& stmt,

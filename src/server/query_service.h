@@ -336,6 +336,9 @@ class QueryService {
   Status RunDmlStatement(Catalog* cat, const sql::Statement& stmt,
                          TxnWriteSet* ws, const CatalogSnapshot* base_snap,
                          const CatalogSnapshot* exec_snap, QueryResult* out);
+  /// Counts one installed write set and adds its phase times to the
+  /// commit_{merge,index,pool,publish}_us histograms.
+  void RecordCommit(const CommitPhases& phases);
   /// Returns the session's transaction overlay snapshot, rebuilding the
   /// cached one if the write set moved (empty write sets short-circuit to
   /// the begin snapshot, which keeps BAT identities and recycling intact).
@@ -392,6 +395,10 @@ class QueryService {
   obs::LatencyHistogram* h_query_exec_us_;
   obs::LatencyHistogram* h_sql_parse_us_;
   obs::LatencyHistogram* h_sql_compile_us_;
+  obs::LatencyHistogram* h_commit_merge_us_;
+  obs::LatencyHistogram* h_commit_index_us_;
+  obs::LatencyHistogram* h_commit_pool_us_;
+  obs::LatencyHistogram* h_commit_publish_us_;
 
   // Trace sampling and the recent-trace ring.
   std::atomic<uint64_t> trace_seq_{0};

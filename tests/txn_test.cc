@@ -371,5 +371,63 @@ TEST_F(TxnTest, ReadersNeverObserveUncommittedState) {
   EXPECT_EQ(Sum(&check), kInitialSum + committed_delta.load());
 }
 
+// ---------------------------------------------------------------------------
+// Commit phases and FK joins.
+// ---------------------------------------------------------------------------
+
+uint64_t HistCount(const QueryService& svc, const std::string& name) {
+  const obs::RegistrySnapshot snap = svc.MetricsSnapshot();
+  const obs::MetricValue* m = snap.Find(name);
+  EXPECT_NE(m, nullptr) << name;
+  return m == nullptr ? 0 : m->hist.count;
+}
+
+// One COMMIT adds one sample to each commit phase histogram, whether the
+// transaction is explicit or an autocommit statement; ROLLBACK adds none.
+TEST_F(TxnTest, CommitRecordsOneSamplePerPhase) {
+  const char* kPhases[] = {"commit_merge_us", "commit_index_us",
+                           "commit_pool_us", "commit_publish_us"};
+  for (const char* h : kPhases) EXPECT_EQ(HistCount(*svc_, h), 0u) << h;
+  Session s;
+  ASSERT_TRUE(Run(&s, "begin").ok());
+  ASSERT_TRUE(Run(&s, "insert into acct values (99, 1)").ok());
+  ASSERT_TRUE(Run(&s, "commit").ok());
+  for (const char* h : kPhases) EXPECT_EQ(HistCount(*svc_, h), 1u) << h;
+  ASSERT_TRUE(Run(&s, "update acct set a_bal = a_bal + 1 where a_id = 3").ok());
+  for (const char* h : kPhases) EXPECT_EQ(HistCount(*svc_, h), 2u) << h;
+  ASSERT_TRUE(Run(&s, "begin").ok());
+  ASSERT_TRUE(Run(&s, "insert into acct values (98, 1)").ok());
+  ASSERT_TRUE(Run(&s, "rollback").ok());
+  for (const char* h : kPhases) EXPECT_EQ(HistCount(*svc_, h), 2u) << h;
+  EXPECT_NE(svc_->MetricsSnapshot().ToPrometheus().find(
+                "recycledb_commit_index_us_count 2"),
+            std::string::npos);
+}
+
+// A join through an FK index never pairs a nil child key with a nil parent
+// key, before or after a commit rebuilds the index.
+TEST(FkJoinTest, NilKeysNeverJoin) {
+  auto cat = std::make_unique<Catalog>();
+  cat->CreateTable("p", {{"p_key", TypeTag::kOid}, {"p_val", TypeTag::kInt}});
+  cat->CreateTable("c", {{"c_key", TypeTag::kOid}, {"c_val", TypeTag::kInt}});
+  ASSERT_TRUE(
+      cat->LoadColumn<Oid>("p", "p_key", {100, kNilOid}, true, true).ok());
+  ASSERT_TRUE(cat->LoadColumn<int32_t>("p", "p_val", {1, 2}).ok());
+  ASSERT_TRUE(cat->LoadColumn<Oid>("c", "c_key", {kNilOid, 100, 7}).ok());
+  ASSERT_TRUE(cat->LoadColumn<int32_t>("c", "c_val", {1, 2, 3}).ok());
+  ASSERT_TRUE(cat->RegisterFkIndex("c_p", "c", "c_key", "p", "p_key").ok());
+  QueryService svc(std::move(cat), ServiceConfig{});
+  Session s;
+  auto count = [&] {
+    auto r = testutil::RunSql(
+        &svc, &s, "select count(*) as n from c inner join p on c_key = p_key");
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    return r.ok() ? r.value().Find("n")->scalar().AsLng() : -1;
+  };
+  EXPECT_EQ(count(), 1);
+  ASSERT_TRUE(testutil::RunSql(&svc, &s, "insert into c values (100, 4)").ok());
+  EXPECT_EQ(count(), 2);
+}
+
 }  // namespace
 }  // namespace recycledb
