@@ -91,14 +91,16 @@ void PrintStats(const QueryService& svc) {
       static_cast<unsigned long long>(s.txn_rolled_back),
       static_cast<unsigned long long>(s.txn_conflicts));
   std::printf(
-      "plan cache:  lookups=%llu hits=%llu compiles=%llu invalidations=%llu "
-      "evictions=%llu cached=%zu (%zu B)\n",
+      "plan cache:  lookups=%llu hits=%llu text-hits=%llu compiles=%llu "
+      "invalidations=%llu evictions=%llu cached=%zu (%zu B) texts=%zu\n",
       static_cast<unsigned long long>(s.plan_lookups),
       static_cast<unsigned long long>(s.plan_hits),
+      static_cast<unsigned long long>(s.plan_text_hits),
       static_cast<unsigned long long>(s.plan_compiles),
       static_cast<unsigned long long>(s.plan_invalidations),
       static_cast<unsigned long long>(s.plan_evictions),
-      svc.plan_cache().size(), svc.plan_cache().bytes());
+      svc.plan_cache().size(), svc.plan_cache().bytes(),
+      svc.plan_cache().text_count());
   std::printf(
       "recycler:    monitored=%llu pool-hits=%llu entries=%zu bytes=%zu\n",
       static_cast<unsigned long long>(rs.monitored),

@@ -70,6 +70,7 @@ RecycleServer::RecycleServer(QueryService* svc, NetConfig cfg)
   c_cancelled_ = reg.AddCounter("queries_cancelled");
   c_bytes_read_ = reg.AddCounter("net_bytes_read");
   c_bytes_written_ = reg.AddCounter("net_bytes_written");
+  c_replies_deferred_ = reg.AddCounter("net_replies_deferred");
   h_decode_us_ = reg.AddHistogram("net_decode_us");
   h_queue_us_ = reg.AddHistogram("net_queue_us");
   h_request_us_ = reg.AddHistogram("net_request_us");
@@ -159,13 +160,13 @@ void RecycleServer::WakeLocked() {
 }
 
 void RecycleServer::PostCompletion(uint64_t conn_id, uint64_t rid,
-                                   Result<QueryResult> r) {
+                                   SendOutcome outcome) {
   // The wake write happens while the mutex is held: the I/O loop drains
   // completions under the same mutex, so by the time it can observe this
   // completion, this thread is done touching the server. That makes
   // Stop()'s "drain then join" safe against a poster mid-call.
   std::lock_guard<std::mutex> lock(comp_mu_);
-  completions_.push_back(Completion{conn_id, rid, std::move(r)});
+  completions_.push_back(Completion{conn_id, rid, outcome});
   WakeLocked();
 }
 
@@ -206,8 +207,7 @@ void RecycleServer::IoLoop() {
       // Connections with nothing left to say can go now; the rest flush.
       std::vector<uint64_t> done;
       for (auto& [id, conn] : conns_)
-        if (conn->inflight == 0 && conn->woff == conn->wbuf.size())
-          done.push_back(id);
+        if (Idle(conn.get())) done.push_back(id);
       for (uint64_t id : done) CloseConn(id);
       if (DrainComplete()) break;
     }
@@ -223,7 +223,10 @@ void RecycleServer::IoLoop() {
     for (auto& [id, conn] : conns_) {
       short events = 0;
       if (!conn->stop_reading) events |= POLLIN;
-      if (conn->woff < conn->wbuf.size()) events |= POLLOUT;
+      {
+        std::lock_guard<std::mutex> lock(conn->out->mu);
+        if (conn->out->woff < conn->out->wbuf.size()) events |= POLLOUT;
+      }
       if (events == 0) events = POLLIN;  // at least detect disconnects
       pfds.push_back({conn->fd, events, 0});
       pfd_conn.push_back(id);
@@ -300,8 +303,7 @@ void RecycleServer::BeginDrain() {
 bool RecycleServer::DrainComplete() const {
   if (total_inflight_.load(std::memory_order_acquire) != 0) return false;
   {
-    std::lock_guard<std::mutex> lock(
-        const_cast<std::mutex&>(comp_mu_));
+    std::lock_guard<std::mutex> lock(comp_mu_);
     if (!completions_.empty()) return false;
   }
   return conns_.empty();
@@ -338,6 +340,7 @@ void RecycleServer::AcceptNew() {
     auto conn = std::make_unique<Conn>(cfg_.max_frame_bytes);
     conn->id = next_conn_id_++;
     conn->fd = fd;
+    conn->out->fd = fd;
     conns_.emplace(conn->id, std::move(conn));
     c_conn_opened_->Add(1);
     SetConnGauge(conns_.size());
@@ -364,6 +367,10 @@ void RecycleServer::ReadConn(Conn* conn) {
     return;
   }
 
+  // Every frame of this read is admitted against the window as it stands
+  // now: the replies that freed a slot before these bytes arrived count,
+  // replies racing the decode below do not.
+  RefreshWindow(conn);
   const uint64_t conn_id = conn->id;
   while (conns_.count(conn_id) && !conn->stop_reading) {
     Frame frame;
@@ -499,7 +506,15 @@ void RecycleServer::HandleFrame(Conn* conn, Frame frame) {
 void RecycleServer::HandleRequest(Conn* conn, uint64_t rid, bool is_dml,
                                   std::string sql) {
   c_requests_->Add(1);
-  if (conn->submitted.count(rid) != 0) {
+  // Parked requests keep their turn: a slot freed since they parked goes
+  // to them first.
+  SubmitWhileOpen(conn);
+  bool in_flight = false;
+  {
+    std::lock_guard<std::mutex> lock(conn->out->mu);
+    in_flight = conn->out->submitted.count(rid) != 0;
+  }
+  if (in_flight) {
     SendError(conn, rid,
               Status::InvalidArgument("request_id already in flight"));
     return;
@@ -544,12 +559,19 @@ void RecycleServer::HandleCancel(Conn* conn, const Frame& frame) {
     SendFrame(conn, FrameKind::kOk, frame.request_id, "");
     return;
   }
-  // Already submitted: the query runs to completion (workers are not
-  // interruptible mid-instruction), but its result is suppressed and the
-  // client gets CANCELLED instead.
-  auto it = conn->submitted.find(target);
-  if (it != conn->submitted.end() && !it->second.cancelled) {
-    it->second.cancelled = true;
+  // Already submitted and not yet answered: the query runs to completion
+  // (workers are not interruptible mid-instruction), but its replier finds
+  // the flag under the send lock and sends CANCELLED instead of RESULT.
+  bool marked = false;
+  {
+    std::lock_guard<std::mutex> lock(conn->out->mu);
+    auto it = conn->out->submitted.find(target);
+    if (it != conn->out->submitted.end() && !it->second.cancelled) {
+      it->second.cancelled = true;
+      marked = true;
+    }
+  }
+  if (marked) {
     c_cancelled_->Add(1);
     svc_->events().Record(obs::EventKind::kCancel,
                           static_cast<uint32_t>(conn->id), target,
@@ -563,8 +585,15 @@ void RecycleServer::HandleCancel(Conn* conn, const Frame& frame) {
                                            target))));
 }
 
+void RecycleServer::RefreshWindow(Conn* conn) {
+  std::lock_guard<std::mutex> lock(conn->out->mu);
+  conn->inflight = conn->out->inflight;
+}
+
 void RecycleServer::SubmitWhileOpen(Conn* conn) {
-  while (conn->inflight < EffectiveWindow() && !conn->pending.empty()) {
+  if (conn->pending.empty()) return;
+  const uint32_t window = EffectiveWindow();
+  while (!conn->pending.empty() && conn->inflight < window) {
     PendingReq req = std::move(conn->pending.front());
     conn->pending.pop_front();
     Submit(conn, std::move(req));
@@ -574,8 +603,12 @@ void RecycleServer::SubmitWhileOpen(Conn* conn) {
 void RecycleServer::Submit(Conn* conn, PendingReq req) {
   const double now = NowMillis();
   h_queue_us_->Record(MsToUs(now - req.recv_ms));
+  {
+    std::lock_guard<std::mutex> lock(conn->out->mu);
+    conn->out->inflight += 1;
+    conn->out->submitted.emplace(req.rid, ReqState{false, req.recv_ms});
+  }
   conn->inflight += 1;
-  conn->submitted.emplace(req.rid, ReqState{false, req.recv_ms});
   total_inflight_.fetch_add(1, std::memory_order_acq_rel);
   const uint64_t cid = conn->id;
   const uint64_t rid = req.rid;
@@ -583,7 +616,7 @@ void RecycleServer::Submit(Conn* conn, PendingReq req) {
     {
       std::lock_guard<std::mutex> lock(dml_mu_);
       dml_queue_.push_back(
-          DmlJob{cid, rid, std::move(req.sql), conn->session});
+          DmlJob{cid, rid, std::move(req.sql), conn->session, conn->out});
     }
     dml_cv_.notify_one();
     return;
@@ -594,68 +627,142 @@ void RecycleServer::Submit(Conn* conn, PendingReq req) {
   qreq.sql = std::move(req.sql);
   qreq.session = conn->session.get();
   // The callback owns a session reference: the Session must outlive the
-  // run even if the connection dies while the query executes.
-  auto sess = conn->session;
+  // run even if the connection dies while the query executes. It owns the
+  // send side for the same reason, and replies from the worker.
   svc_->SubmitAsync(std::move(qreq),
-                    [this, cid, rid, sess](Result<QueryResult> r) {
-                      PostCompletion(cid, rid, std::move(r));
+                    [this, cid, rid, out = conn->out,
+                     sess = conn->session](Result<QueryResult> r) {
+                      Reply(out.get(), cid, rid, r);
                     });
 }
 
-void RecycleServer::ProcessCompletions() {
-  std::deque<Completion> batch;
-  {
-    std::lock_guard<std::mutex> lock(comp_mu_);
-    batch.swap(completions_);
+void RecycleServer::Reply(SendSide* out, uint64_t conn_id, uint64_t rid,
+                          const Result<QueryResult>& r) {
+  // Encode outside the send lock: only the append and send serialise.
+  Frame f;
+  f.request_id = rid;
+  if (r.ok()) {
+    f.kind = FrameKind::kResult;
+    PutString(&f.payload, EncodeResultSet(r.value()));
+    if (r.value().trace != nullptr) {
+      f.flags |= kFlagHasTrace;
+      PutString(&f.payload, r.value().trace->ToString());
+    }
+  } else {
+    f.kind = FrameKind::kError;
+    f.payload = EncodeError(r.status());
   }
-  for (Completion& c : batch) CompleteOne(std::move(c));
+  std::string bytes = EncodeFrame(f);
+  double recv_ms = 0;
+  SendOutcome outcome;
+  {
+    std::lock_guard<std::mutex> lock(out->mu);
+    // The slot is free before the bytes leave: a closed-loop client's next
+    // request can then never find the window still full.
+    if (out->inflight > 0) out->inflight -= 1;
+    auto it = out->submitted.find(rid);
+    if (it != out->submitted.end()) {
+      recv_ms = it->second.recv_ms;
+      if (it->second.cancelled) {
+        Frame cancelled;
+        cancelled.kind = FrameKind::kCancelled;
+        cancelled.request_id = rid;
+        bytes = EncodeFrame(cancelled);
+      }
+      out->submitted.erase(it);  // answered: a CANCEL now gets NotFound
+    }
+    outcome = SendLocked(out, bytes);
+  }
+  if (outcome == SendOutcome::kDeferred) c_replies_deferred_->Add(1);
+  if (recv_ms > 0) h_request_us_->Record(MsToUs(NowMillis() - recv_ms));
+  PostCompletion(conn_id, rid, outcome);
 }
 
-void RecycleServer::CompleteOne(Completion c) {
+RecycleServer::SendOutcome RecycleServer::SendLocked(
+    SendSide* out, const std::string& bytes) {
+  if (out->dead) return SendOutcome::kFailed;
+  if (out->woff < out->wbuf.size()) {  // earlier bytes go first
+    out->wbuf += bytes;
+    return FlushLocked(out);
+  }
+  // Nothing queued: send straight from the frame, and keep only what the
+  // socket did not take.
+  size_t sent = 0;
+  if (!WriteSome(out->fd, bytes.data(), bytes.size(), &sent))
+    return SendOutcome::kFailed;
+  if (sent == bytes.size()) return SendOutcome::kSent;
+  out->wbuf.assign(bytes, sent, std::string::npos);
+  out->woff = 0;
+  return SendOutcome::kDeferred;
+}
+
+RecycleServer::SendOutcome RecycleServer::FlushLocked(SendSide* out) {
+  if (out->dead) return SendOutcome::kFailed;
+  size_t sent = 0;
+  const bool ok = WriteSome(out->fd, out->wbuf.data() + out->woff,
+                            out->wbuf.size() - out->woff, &sent);
+  out->woff += sent;
+  if (!ok) return SendOutcome::kFailed;
+  if (out->woff < out->wbuf.size()) return SendOutcome::kDeferred;
+  out->wbuf.clear();
+  out->woff = 0;
+  return SendOutcome::kSent;
+}
+
+bool RecycleServer::WriteSome(int fd, const char* data, size_t len,
+                              size_t* sent) {
+  while (*sent < len) {
+    ssize_t n = send(fd, data + *sent, len - *sent, MSG_NOSIGNAL);
+    if (n > 0) {
+      c_bytes_written_->Add(static_cast<uint64_t>(n));
+      *sent += static_cast<size_t>(n);
+      continue;
+    }
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return true;
+    if (n < 0 && errno == EINTR) continue;
+    return false;  // send failure: peer is gone
+  }
+  return true;
+}
+
+void RecycleServer::ProcessCompletions() {
+  {
+    std::lock_guard<std::mutex> lock(comp_mu_);
+    comp_batch_.swap(completions_);
+  }
+  for (const Completion& c : comp_batch_) CompleteOne(c);
+  comp_batch_.clear();
+}
+
+void RecycleServer::CompleteOne(const Completion& c) {
   total_inflight_.fetch_sub(1, std::memory_order_acq_rel);
   auto it = conns_.find(c.conn_id);
   if (it == conns_.end()) return;  // connection died while it ran
   Conn* conn = it->second.get();
-  auto rit = conn->submitted.find(c.rid);
-  const bool cancelled = rit != conn->submitted.end() &&
-                         rit->second.cancelled;
-  const double recv_ms = rit != conn->submitted.end() ? rit->second.recv_ms
-                                                      : 0;
-  if (rit != conn->submitted.end()) conn->submitted.erase(rit);
-  if (conn->inflight > 0) conn->inflight -= 1;
-
-  if (cancelled) {
-    SendFrame(conn, FrameKind::kCancelled, c.rid, "");
-  } else if (c.result.ok()) {
-    const QueryResult& r = c.result.value();
-    std::string payload;
-    PutString(&payload, EncodeResultSet(r));
-    uint8_t flags = 0;
-    if (r.trace != nullptr) {
-      flags |= kFlagHasTrace;
-      PutString(&payload, r.trace->ToString());
-    }
-    SendFrame(conn, FrameKind::kResult, c.rid, std::move(payload), flags);
-  } else {
-    SendFrame(conn, FrameKind::kError, c.rid, EncodeError(c.result.status()));
+  if (c.outcome == SendOutcome::kFailed) {
+    CloseConn(conn->id);
+    return;
   }
-  if (recv_ms > 0) h_request_us_->Record(MsToUs(NowMillis() - recv_ms));
-  // The flush above may have closed the conn (send failure, or
-  // close_after_flush with nothing left in flight) — don't submit for it.
-  if (!draining_ && !conn->dead) SubmitWhileOpen(conn);
+  RefreshWindow(conn);
+  if (!draining_) SubmitWhileOpen(conn);
+  // This reply may have been all a close-after-flush connection awaited.
+  AfterSend(conn, SendOutcome::kSent);
 }
 
 void RecycleServer::SendFrame(Conn* conn, FrameKind kind, uint64_t rid,
                               std::string payload, uint8_t flags) {
-  if (conn->dead) return;
   Frame f;
   f.kind = kind;
   f.flags = flags;
   f.request_id = rid;
   f.payload = std::move(payload);
-  conn->wbuf += EncodeFrame(f);
-  // Try to push bytes out immediately; POLLOUT picks up any remainder.
-  FlushConn(conn);
+  const std::string bytes = EncodeFrame(f);
+  SendOutcome outcome;
+  {
+    std::lock_guard<std::mutex> lock(conn->out->mu);
+    outcome = SendLocked(conn->out.get(), bytes);
+  }
+  AfterSend(conn, outcome);
 }
 
 void RecycleServer::SendError(Conn* conn, uint64_t rid, const Status& st) {
@@ -663,39 +770,46 @@ void RecycleServer::SendError(Conn* conn, uint64_t rid, const Status& st) {
 }
 
 void RecycleServer::FlushConn(Conn* conn) {
-  if (conn->dead) return;
-  while (conn->woff < conn->wbuf.size()) {
-    ssize_t n = send(conn->fd, conn->wbuf.data() + conn->woff,
-                     conn->wbuf.size() - conn->woff, MSG_NOSIGNAL);
-    if (n > 0) {
-      c_bytes_written_->Add(static_cast<uint64_t>(n));
-      conn->woff += static_cast<size_t>(n);
-      continue;
-    }
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return;
-    if (n < 0 && errno == EINTR) continue;
-    CloseConn(conn->id);  // send failure: peer is gone
-    return;
+  SendOutcome outcome;
+  {
+    std::lock_guard<std::mutex> lock(conn->out->mu);
+    outcome = FlushLocked(conn->out.get());
   }
-  conn->wbuf.clear();
-  conn->woff = 0;
-  if (conn->close_after_flush && conn->inflight == 0 &&
-      conn->pending.empty())
+  AfterSend(conn, outcome);
+}
+
+void RecycleServer::AfterSend(Conn* conn, SendOutcome outcome) {
+  if (outcome == SendOutcome::kFailed ||
+      (outcome == SendOutcome::kSent && conn->close_after_flush &&
+       conn->pending.empty() && Idle(conn)))
     CloseConn(conn->id);
+}
+
+bool RecycleServer::Idle(Conn* conn) {
+  SendSide& out = *conn->out;
+  std::lock_guard<std::mutex> lock(out.mu);
+  return out.inflight == 0 && out.woff == out.wbuf.size();
 }
 
 void RecycleServer::CloseConn(uint64_t conn_id) {
   auto it = conns_.find(conn_id);
   if (it == conns_.end()) return;
   Conn* conn = it->second.get();
-  conn->dead = true;
-  close(conn->fd);
+  {
+    // Under the send lock, so no replier is between its dead check and
+    // its send: nothing ever writes to a closed (or reused) descriptor.
+    std::lock_guard<std::mutex> lock(conn->out->mu);
+    conn->out->dead = true;
+    close(conn->out->fd);
+    conn->out->fd = -1;
+  }
   conn->fd = -1;
   // In-flight requests of this connection keep total_inflight_ raised
   // until their completions arrive (and are then discarded), so drain
   // still waits for them. The object itself outlives this call in the
-  // graveyard: callers up the stack (SendFrame → FlushConn → here) may
-  // still hold the pointer, and every write path no-ops on `dead`.
+  // graveyard: callers up the stack (SendFrame → AfterSend → here) may
+  // still hold the pointer, and every write path no-ops on a dead send
+  // side.
   graveyard_.push_back(std::move(it->second));
   conns_.erase(it);
   c_conn_closed_->Add(1);
@@ -725,7 +839,7 @@ void RecycleServer::DmlLoop() {
     dreq.sql = std::move(job.sql);
     dreq.session = job.session.get();
     QueryHandle h = svc_->Submit(std::move(dreq));
-    PostCompletion(job.conn_id, job.rid, h.future.get());
+    Reply(job.out.get(), job.conn_id, job.rid, h.future.get());
   }
 }
 

@@ -50,21 +50,26 @@ struct NetConfig {
 ///
 /// ## Threading model
 ///
-///  - The I/O thread owns every socket and all per-connection state:
-///    non-blocking accept/read/write, frame decode, admission control, and
-///    response encoding all happen there.
+///  - The I/O thread owns every socket's read side and all per-connection
+///    admission state: non-blocking accept/read, frame decode, admission
+///    control, routing, and every close decision happen there.
 ///  - SELECT-path requests go through QueryService::SubmitAsync as Requests
-///    under the connection's Session (MVCC snapshot reads by default); the
-///    completion callback (on a service worker) posts into a completion
-///    queue and wakes the I/O loop through a self-pipe.
+///    under the connection's Session (MVCC snapshot reads by default).
 ///  - DML requests run on ONE dedicated executor thread (they block on the
 ///    exclusive update lock, which must never stall the I/O loop); the
 ///    session's autocommit is applied by QueryService::Submit itself,
 ///    atomically with the statement.
+///  - A reply leaves from the thread that produced it: the worker for a
+///    SELECT, the executor for DML. A connection's send side (SendSide) is
+///    shared under one mutex; the replier releases the request's window
+///    slot, then appends its frame and sends what the socket takes. It then
+///    posts a completion and wakes the I/O loop through a self-pipe; the
+///    I/O thread does the bookkeeping, flushes leftover bytes on POLLOUT,
+///    and closes connections.
 ///  - Stop() closes the listener, fails requests still parked in pending
-///    queues, then drains: every submitted request's completion is awaited,
-///    encoded, and flushed before the I/O thread exits. The wait is purely
-///    event-driven (completions wake the loop); no sleeps.
+///    queues, then drains: every submitted request's completion is awaited
+///    and its connection flushed before the I/O thread exits. The wait is
+///    purely event-driven (completions wake the loop); no sleeps.
 ///
 /// The server registers its metrics (connection gauge/counters, decode /
 /// queue / request latency histograms, queries_cancelled) into the
@@ -97,9 +102,28 @@ class RecycleServer {
   }
 
  private:
+  /// What a send left behind: everything gone, a remainder for the I/O
+  /// thread's POLLOUT flush, or a dead socket.
+  enum class SendOutcome : uint8_t { kSent, kDeferred, kFailed };
+
   struct ReqState {
     bool cancelled = false;
     double recv_ms = 0;
+  };
+  /// A connection's send side, shared by the I/O thread and the threads
+  /// that reply (workers, the DML executor); every field is guarded by
+  /// `mu`. Shared ownership keeps it valid for a reply that finishes after
+  /// its connection closed.
+  struct SendSide {
+    std::mutex mu;
+    int fd = -1;
+    std::string wbuf;  ///< encoded-but-unsent bytes
+    size_t woff = 0;   ///< sent prefix of wbuf
+    /// Set when CloseConn closes fd (under `mu`): nothing writes after it.
+    bool dead = false;
+    uint32_t inflight = 0;  ///< submitted, window slot not yet released
+    /// Submitted ids not yet answered; the replier erases its id.
+    std::unordered_map<uint64_t, ReqState> submitted;
   };
   struct PendingReq {
     uint64_t rid = 0;
@@ -109,10 +133,9 @@ class RecycleServer {
   };
   struct Conn {
     uint64_t id = 0;
-    int fd = -1;
+    int fd = -1;  ///< read side; SendSide::fd is the same descriptor
     FrameDecoder decoder;
-    std::string wbuf;  ///< encoded-but-unsent bytes
-    size_t woff = 0;   ///< sent prefix of wbuf
+    std::shared_ptr<SendSide> out = std::make_shared<SendSide>();
     bool hello_done = false;
     /// The QueryService session every request on this connection executes
     /// under: owns autocommit (SET_OPTION), trace-all, and snapshot pinning.
@@ -120,21 +143,21 @@ class RecycleServer {
     std::shared_ptr<Session> session = std::make_shared<Session>();
     bool stop_reading = false;
     bool close_after_flush = false;
-    /// Closed but not yet reaped: the fd is gone and the conn left conns_,
-    /// but the object stays alive in graveyard_ so callers up the stack
-    /// (SendFrame → FlushConn → CloseConn) still hold a valid pointer.
-    /// Every write/submit path no-ops on a dead conn.
-    bool dead = false;
-    uint32_t inflight = 0;              ///< submitted, response not yet sent
-    std::deque<PendingReq> pending;     ///< admitted, awaiting a window slot
-    std::unordered_map<uint64_t, ReqState> submitted;
+    /// Window slots in use as admission sees them: SendSide::inflight as
+    /// of the last RefreshWindow, plus submissions since. Frames of one
+    /// read are admitted against one view, so a pipelined burst never
+    /// races the replies of its own first requests.
+    uint32_t inflight = 0;
+    std::deque<PendingReq> pending;  ///< admitted, awaiting a window slot
 
     explicit Conn(size_t max_frame) : decoder(max_frame) {}
   };
+  /// A reply that left (or failed to), reported to the I/O thread for its
+  /// bookkeeping.
   struct Completion {
     uint64_t conn_id = 0;
     uint64_t rid = 0;
-    Result<QueryResult> result;
+    SendOutcome outcome = SendOutcome::kSent;
   };
   struct DmlJob {
     uint64_t conn_id = 0;
@@ -143,6 +166,7 @@ class RecycleServer {
     /// Keeps the connection's session (and its autocommit flag) alive even
     /// if the connection closes while the job waits for the update lock.
     std::shared_ptr<Session> session;
+    std::shared_ptr<SendSide> out;  ///< the executor replies through it
   };
 
   void IoLoop();
@@ -153,24 +177,44 @@ class RecycleServer {
   void HandleFrame(Conn* conn, Frame frame);
   void HandleRequest(Conn* conn, uint64_t rid, bool is_dml, std::string sql);
   void HandleCancel(Conn* conn, const Frame& frame);
+  /// Reloads Conn::inflight from the send side, where replies free slots.
+  void RefreshWindow(Conn* conn);
   void SubmitWhileOpen(Conn* conn);
   void Submit(Conn* conn, PendingReq req);
   void ProcessCompletions();
-  void CompleteOne(Completion c);
+  void CompleteOne(const Completion& c);
   void SendFrame(Conn* conn, FrameKind kind, uint64_t rid,
                  std::string payload, uint8_t flags = 0);
   void SendError(Conn* conn, uint64_t rid, const Status& st);
   void FlushConn(Conn* conn);
+  /// I/O thread: closes after a send failure, or once a close-after-flush
+  /// connection has nothing in flight, pending or unsent.
+  void AfterSend(Conn* conn, SendOutcome outcome);
+  /// Nothing in flight and nothing unsent.
+  bool Idle(Conn* conn);
   void CloseConn(uint64_t conn_id);
   void BeginDrain();
   bool DrainComplete() const;
   void SetConnGauge(size_t n);
 
-  /// Posts a finished request's result and wakes the I/O loop. Safe from
-  /// any thread; the wake write happens under the completion mutex so the
-  /// I/O loop cannot observe the completion before the poster is done
-  /// touching server state (shutdown safety).
-  void PostCompletion(uint64_t conn_id, uint64_t rid, Result<QueryResult> r);
+  /// Any thread: answers request `rid` with its RESULT or ERROR frame
+  /// (CANCELLED if the id was cancelled), releasing its window slot before
+  /// the bytes leave, then posts the completion.
+  void Reply(SendSide* out, uint64_t conn_id, uint64_t rid,
+             const Result<QueryResult>& r);
+  /// Appends `bytes` and sends what the socket takes. Requires out->mu.
+  SendOutcome SendLocked(SendSide* out, const std::string& bytes);
+  /// Sends the unsent tail of out->wbuf. Requires out->mu.
+  SendOutcome FlushLocked(SendSide* out);
+  /// Writes until done or EAGAIN; `*sent` counts the bytes taken. False on
+  /// a dead peer.
+  bool WriteSome(int fd, const char* data, size_t len, size_t* sent);
+
+  /// Posts a reply's completion and wakes the I/O loop. Safe from any
+  /// thread; the wake write happens under the completion mutex so the I/O
+  /// loop cannot observe the completion before the poster is done touching
+  /// server state (shutdown safety).
+  void PostCompletion(uint64_t conn_id, uint64_t rid, SendOutcome outcome);
   void WakeLocked();
 
   /// True while the pool reported budget pressure within the last
@@ -194,7 +238,7 @@ class RecycleServer {
   // I/O-thread-owned state.
   std::unordered_map<uint64_t, std::unique_ptr<Conn>> conns_;
   /// Conns closed mid-iteration; destruction is deferred to the top of the
-  /// next IoLoop round so no stack frame can dangle (see Conn::dead).
+  /// next IoLoop round so no stack frame can dangle (see CloseConn).
   std::vector<std::unique_ptr<Conn>> graveyard_;
   uint64_t next_conn_id_ = 1;
   bool draining_ = false;
@@ -205,8 +249,11 @@ class RecycleServer {
   /// ones whose connection died); drain waits for it to reach zero.
   std::atomic<size_t> total_inflight_{0};
 
-  std::mutex comp_mu_;
-  std::deque<Completion> completions_;
+  mutable std::mutex comp_mu_;
+  std::vector<Completion> completions_;
+  /// The I/O thread's batch: swapped with completions_ each round and
+  /// cleared without releasing capacity.
+  std::vector<Completion> comp_batch_;
 
   std::mutex dml_mu_;
   std::condition_variable dml_cv_;
@@ -225,6 +272,7 @@ class RecycleServer {
   obs::Counter* c_cancelled_ = nullptr;
   obs::Counter* c_bytes_read_ = nullptr;
   obs::Counter* c_bytes_written_ = nullptr;
+  obs::Counter* c_replies_deferred_ = nullptr;
   obs::LatencyHistogram* h_decode_us_ = nullptr;
   obs::LatencyHistogram* h_queue_us_ = nullptr;
   obs::LatencyHistogram* h_request_us_ = nullptr;

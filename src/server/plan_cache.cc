@@ -35,10 +35,47 @@ PlanCache::EntryPtr PlanCache::Lookup(const std::string& fingerprint) {
   hits_.fetch_add(1, std::memory_order_relaxed);
   // Touch recency under the shared lock: ticks are per-slot atomics fed by
   // one atomic clock, exactly the recycle pool's logical-clock idiom.
-  it->second.last_use->store(
-      use_clock_.fetch_add(1, std::memory_order_relaxed) + 1,
-      std::memory_order_relaxed);
+  it->second.last_use->store(Tick(), std::memory_order_relaxed);
   return it->second.entry;
+}
+
+PlanCache::EntryPtr PlanCache::LookupText(const std::string& text,
+                                          std::vector<Scalar>* params) {
+  std::shared_lock<std::shared_mutex> lock(mu_);
+  auto it = texts_.find(text);
+  if (it == texts_.end()) return nullptr;
+  lookups_.fetch_add(1, std::memory_order_relaxed);
+  hits_.fetch_add(1, std::memory_order_relaxed);
+  text_hits_.fetch_add(1, std::memory_order_relaxed);
+  it->second.last_use->store(Tick(), std::memory_order_relaxed);
+  *params = it->second.params;
+  return it->second.entry;
+}
+
+void PlanCache::RememberText(const std::string& text,
+                             const std::string& fingerprint,
+                             const EntryPtr& entry,
+                             std::vector<Scalar> params) {
+  std::unique_lock<std::shared_mutex> lock(mu_);
+  auto pit = plans_.find(fingerprint);
+  if (pit == plans_.end() || pit->second.entry != entry) return;
+  Slot& slot = pit->second;
+  auto [tit, fresh] = texts_.try_emplace(text);
+  if (!fresh) return;  // a racing submission of the same text won
+  tit->second.entry = entry;
+  tit->second.params = std::move(params);
+  tit->second.last_use = slot.last_use.get();
+  if (slot.texts.size() == kMaxTextsPerPlan) {
+    texts_.erase(slot.texts.front());
+    slot.texts.erase(slot.texts.begin());
+  }
+  slot.texts.push_back(text);
+}
+
+PlanCache::PlanMap::iterator PlanCache::EraseLocked(PlanMap::iterator it) {
+  for (const std::string& text : it->second.texts) texts_.erase(text);
+  bytes_ -= it->second.est_bytes;
+  return plans_.erase(it);
 }
 
 void PlanCache::EvictLruLocked() {
@@ -51,10 +88,9 @@ void PlanCache::EvictLruLocked() {
       victim = it;
     }
   }
-  bytes_ -= victim->second.est_bytes;
   if (events_ != nullptr)
     events_->Record(obs::EventKind::kPlanEvict, 0, victim->second.est_bytes);
-  plans_.erase(victim);
+  EraseLocked(victim);
   evictions_.fetch_add(1, std::memory_order_relaxed);
 }
 
@@ -68,17 +104,14 @@ PlanCache::EntryPtr PlanCache::Insert(const std::string& fingerprint,
   if (it != plans_.end()) {
     // Racing double-compile: the incumbent wins, the loser's plan is
     // discarded without ever charging capacity.
-    it->second.last_use->store(
-        use_clock_.fetch_add(1, std::memory_order_relaxed) + 1,
-        std::memory_order_relaxed);
+    it->second.last_use->store(Tick(), std::memory_order_relaxed);
     return it->second.entry;
   }
   if (max_plans_ != 0 && plans_.size() >= max_plans_) EvictLruLocked();
   Slot slot;
   slot.entry = sp;
   slot.est_bytes = est;
-  slot.last_use = std::make_unique<std::atomic<uint64_t>>(
-      use_clock_.fetch_add(1, std::memory_order_relaxed) + 1);
+  slot.last_use = std::make_unique<std::atomic<uint64_t>>(Tick());
   bytes_ += est;
   plans_.emplace(fingerprint, std::move(slot));
   return sp;
@@ -100,8 +133,7 @@ void PlanCache::Invalidate(const std::vector<ColumnId>& cols) {
       return std::binary_search(tables.begin(), tables.end(), t);
     });
     if (affected) {
-      bytes_ -= it->second.est_bytes;
-      it = plans_.erase(it);
+      it = EraseLocked(it);
       ++dropped;
     } else {
       ++it;
@@ -114,11 +146,17 @@ void PlanCache::Clear() {
   std::unique_lock<std::shared_mutex> lock(mu_);
   bytes_ = 0;
   plans_.clear();
+  texts_.clear();
 }
 
 size_t PlanCache::size() const {
   std::shared_lock<std::shared_mutex> lock(mu_);
   return plans_.size();
+}
+
+size_t PlanCache::text_count() const {
+  std::shared_lock<std::shared_mutex> lock(mu_);
+  return texts_.size();
 }
 
 size_t PlanCache::bytes() const {
@@ -130,6 +168,7 @@ PlanCacheStats PlanCache::stats() const {
   PlanCacheStats s;
   s.lookups = lookups_.load(std::memory_order_relaxed);
   s.hits = hits_.load(std::memory_order_relaxed);
+  s.text_hits = text_hits_.load(std::memory_order_relaxed);
   s.compiles = compiles_.load(std::memory_order_relaxed);
   s.invalidations = invalidations_.load(std::memory_order_relaxed);
   s.evictions = evictions_.load(std::memory_order_relaxed);
@@ -139,6 +178,7 @@ PlanCacheStats PlanCache::stats() const {
 void PlanCache::ResetStats() {
   lookups_.store(0, std::memory_order_relaxed);
   hits_.store(0, std::memory_order_relaxed);
+  text_hits_.store(0, std::memory_order_relaxed);
   compiles_.store(0, std::memory_order_relaxed);
   invalidations_.store(0, std::memory_order_relaxed);
   evictions_.store(0, std::memory_order_relaxed);

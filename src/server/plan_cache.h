@@ -8,6 +8,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "bat/scalar.h"
 #include "catalog/catalog.h"
 #include "mal/program.h"
 #include "obs/event_ring.h"
@@ -17,8 +18,9 @@ namespace recycledb {
 /// Cumulative plan-cache counters (atomically maintained; readable while
 /// the service runs).
 struct PlanCacheStats {
-  uint64_t lookups = 0;        ///< fingerprint probes
+  uint64_t lookups = 0;        ///< fingerprint or statement-text probes
   uint64_t hits = 0;           ///< probes answered by a cached plan
+  uint64_t text_hits = 0;      ///< hits answered by a remembered text
   uint64_t compiles = 0;       ///< plans compiled and inserted
   uint64_t invalidations = 0;  ///< cached plans dropped by commits/DDL
   uint64_t evictions = 0;      ///< cached plans dropped by LRU capacity
@@ -44,6 +46,15 @@ struct PlanCacheStats {
 /// Lookup under the shared lock via per-entry atomic ticks), so ad-hoc
 /// workloads with unbounded distinct patterns cannot grow the map without
 /// bound.
+///
+/// ## Statement texts
+///
+/// Besides the fingerprint map, the cache remembers the exact statement
+/// texts bound to each plan, with their already-coerced parameters, so a
+/// text seen before is served without parsing, fingerprinting or binding.
+/// A text dies with its plan (invalidation, LRU eviction, Clear), and each
+/// plan keeps at most kMaxTextsPerPlan texts, oldest out first, so the text
+/// index is bounded by the plan capacity.
 class PlanCache {
  public:
   struct Entry {
@@ -55,6 +66,9 @@ class PlanCache {
     std::vector<int32_t> table_ids;
   };
   using EntryPtr = std::shared_ptr<const Entry>;
+
+  /// Texts remembered per plan; past it the oldest text is forgotten.
+  static constexpr size_t kMaxTextsPerPlan = 16;
 
   /// Bounds the cache at `max_plans` fingerprints (0 = unlimited).
   explicit PlanCache(size_t max_plans = 0) : max_plans_(max_plans) {}
@@ -73,6 +87,21 @@ class PlanCache {
   /// insert wins and the loser's entry is discarded, so every submitter
   /// shares one Program; the returned entry is always the winner.
   EntryPtr Insert(const std::string& fingerprint, Entry entry);
+
+  /// Probes by exact statement text. On a hit, returns the plan entry and
+  /// fills `*params` with the text's bound parameters; counts a lookup, a
+  /// hit and a text hit, and touches the plan's recency. A miss counts
+  /// nothing (the fingerprint probe that follows does) and returns nullptr.
+  EntryPtr LookupText(const std::string& text, std::vector<Scalar>* params);
+
+  /// Remembers that `text` binds `params` onto `entry`, but only while
+  /// `entry` is still the plan cached under `fingerprint` (a plan dropped
+  /// since it was looked up takes no texts).
+  void RememberText(const std::string& text, const std::string& fingerprint,
+                    const EntryPtr& entry, std::vector<Scalar> params);
+
+  /// Remembered texts across all plans.
+  size_t text_count() const;
 
   /// Drops every plan reading a table named in `cols` (ColumnId::table; join
   /// index pseudo-columns carry their child table, which invalidation
@@ -100,20 +129,38 @@ class PlanCache {
     /// it under the SHARED lock (atomic), while the map may rehash slots on
     /// insert (atomics are not movable).
     std::unique_ptr<std::atomic<uint64_t>> last_use;
+    /// Keys of texts_ bound to this plan, oldest first.
+    std::vector<std::string> texts;
   };
+  struct TextBinding {
+    EntryPtr entry;
+    std::vector<Scalar> params;
+    /// The plan slot's recency tick; valid while the binding exists, since
+    /// a slot's texts are dropped with it under the exclusive lock.
+    std::atomic<uint64_t>* last_use = nullptr;
+  };
+  using PlanMap = std::unordered_map<std::string, Slot>;
 
   /// Drops the least-recently-used slot of a non-empty map. Requires the
   /// exclusive lock.
   void EvictLruLocked();
+  /// Erases one plan slot and its texts; returns the next iterator.
+  /// Requires the exclusive lock.
+  PlanMap::iterator EraseLocked(PlanMap::iterator it);
+  /// The next recency tick.
+  uint64_t Tick() {
+    return use_clock_.fetch_add(1, std::memory_order_relaxed) + 1;
+  }
 
   const size_t max_plans_;  ///< 0 = unbounded
   mutable std::shared_mutex mu_;
-  std::unordered_map<std::string, Slot> plans_;
+  PlanMap plans_;
+  std::unordered_map<std::string, TextBinding> texts_;
   size_t bytes_ = 0;  ///< Σ est_bytes (guarded by mu_)
   std::atomic<uint64_t> use_clock_{0};
   obs::EventRing* events_ = nullptr;  ///< optional eviction-event sink
-  std::atomic<uint64_t> lookups_{0}, hits_{0}, compiles_{0}, invalidations_{0},
-      evictions_{0};
+  std::atomic<uint64_t> lookups_{0}, hits_{0}, text_hits_{0}, compiles_{0},
+      invalidations_{0}, evictions_{0};
 };
 
 }  // namespace recycledb

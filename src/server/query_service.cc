@@ -251,13 +251,26 @@ void QueryService::RouteStatement(const std::string& text, Session* session,
   if (session == nullptr)
     return fail(Status::InvalidArgument("Request.session is required"));
 
-  StopWatch parse_sw;
-  auto parsed = sql::ParseStatement(text);
-  const double parse_ms = parse_sw.ElapsedMillis();
-  h_sql_parse_us_->Record(MsToUs(parse_ms));
-  if (!parsed.ok()) return fail(parsed.status());
+  // A SELECT text seen before binds without parsing: the plan cache keeps
+  // each plan's recent texts with their coerced parameters. DML and
+  // traced texts are never remembered, so they always parse.
+  std::vector<Scalar> params;
+  StopWatch plan_sw;
+  PlanCache::EntryPtr entry = plan_cache_.LookupText(text, &params);
+  const double text_probe_ms = plan_sw.ElapsedMillis();
+  const bool text_hit = entry != nullptr;
+  sql::Statement parsed;
+  double parse_ms = 0;
+  if (!text_hit) {
+    StopWatch parse_sw;
+    auto p = sql::ParseStatement(text);
+    parse_ms = parse_sw.ElapsedMillis();
+    h_sql_parse_us_->Record(MsToUs(parse_ms));
+    if (!p.ok()) return fail(p.status());
+    parsed = std::move(p).value();
+  }
 
-  if (parsed.value().kind != sql::Statement::Kind::kSelect) {
+  if (!text_hit && parsed.kind != sql::Statement::Kind::kSelect) {
     // DML runs on the calling thread under the exclusive update lock; the
     // callback fires before RouteStatement returns. Counted like any
     // submission so operators see DML in the same submitted/completed/failed
@@ -267,7 +280,7 @@ void QueryService::RouteStatement(const std::string& text, Session* session,
       handle_out->snapshot_epoch = catalog_->epoch();
     }
     c_submitted_->Add(1);
-    Result<QueryResult> r = ExecuteDml(parsed.value(), session);
+    Result<QueryResult> r = ExecuteDml(parsed, session);
     if (r.ok())
       c_completed_->Add(1);
     else
@@ -299,37 +312,35 @@ void QueryService::RouteStatement(const std::string& text, Session* session,
   c_epoch_pins_->Add(1);
   if (handle_out != nullptr) handle_out->snapshot_epoch = snapshot->epoch();
 
-  const sql::SelectStmt& stmt = parsed.value().select;
-  std::string fp = sql::Fingerprint(stmt);
+  const sql::SelectStmt& stmt = parsed.select;
+  const std::string fp = text_hit ? std::string() : sql::Fingerprint(stmt);
   // Tracing: explicit TRACE always wins; otherwise the submission/session
   // flags, then 1-in-N sampling. The fingerprint is computed from the
   // SelectStmt alone, so a traced instance shares the untraced instances'
   // plan.
   std::shared_ptr<obs::QueryTrace> trace = MaybeTrace(
-      text, parsed.value().traced || options.trace || session->trace_all());
-  if (trace != nullptr) {
+      text, parsed.traced || options.trace || session->trace_all());
+  if (trace != nullptr && !text_hit) {
     obs::QueryTrace::Span parse_span;
     parse_span.name = "parse";
     parse_span.dur_ms = parse_ms;
     trace->root().children.push_back(std::move(parse_span));
   }
 
-  PlanCache::EntryPtr entry;
-  std::vector<Scalar> params;
   obs::QueryTrace::Span plan_span;
   plan_span.name = "plan";
-  StopWatch plan_sw;
+  if (!text_hit) plan_sw.Restart();
   {
     // The plan cache is internally synchronised, so the probe needs no
     // update-lock hold: a plan-cache hit on the snapshot path touches no
     // lock a commit contends on at all.
     StopWatch probe_sw;
-    entry = plan_cache_.Lookup(fp);
+    if (!text_hit) entry = plan_cache_.Lookup(fp);
     if (trace != nullptr) {
       obs::QueryTrace::Span probe;
       probe.name = "cache_probe";
-      probe.dur_ms = probe_sw.ElapsedMillis();
-      probe.note = entry == nullptr ? "miss" : "hit";
+      probe.dur_ms = text_hit ? text_probe_ms : probe_sw.ElapsedMillis();
+      probe.note = text_hit ? "text hit" : entry == nullptr ? "miss" : "hit";
       plan_span.children.push_back(std::move(probe));
     }
   }
@@ -360,7 +371,7 @@ void QueryService::RouteStatement(const std::string& text, Session* session,
       compile.dur_ms = compile_sw.ElapsedMillis();
       plan_span.children.push_back(std::move(compile));
     }
-  } else {
+  } else if (!text_hit) {
     // BindLiterals is pure over the parsed statement — catalog-free, so the
     // whole hit path stays lock-free.
     StopWatch bind_sw;
@@ -374,6 +385,10 @@ void QueryService::RouteStatement(const std::string& text, Session* session,
       plan_span.children.push_back(std::move(bind));
     }
   }
+  // Remember the text only once it bound cleanly: the next identical
+  // submission skips parse, fingerprint and bind.
+  if (!text_hit && !parsed.traced)
+    plan_cache_.RememberText(text, fp, entry, params);
   plan_span.dur_ms = plan_sw.ElapsedMillis();
   if (trace != nullptr) trace->root().children.push_back(std::move(plan_span));
 
@@ -705,6 +720,7 @@ ServiceStats QueryService::SnapshotStats() const {
   PlanCacheStats pc = plan_cache_.stats();
   s.plan_lookups = pc.lookups;
   s.plan_hits = pc.hits;
+  s.plan_text_hits = pc.text_hits;
   s.plan_compiles = pc.compiles;
   s.plan_invalidations = pc.invalidations;
   s.plan_evictions = pc.evictions;
@@ -742,6 +758,7 @@ obs::RegistrySnapshot QueryService::MetricsSnapshot() const {
   ServiceStats s = SnapshotStats();
   snap.AddCounter("plan_cache_lookups", s.plan_lookups);
   snap.AddCounter("plan_cache_hits", s.plan_hits);
+  snap.AddCounter("plan_cache_text_hits", s.plan_text_hits);
   snap.AddCounter("plan_cache_compiles", s.plan_compiles);
   snap.AddCounter("plan_cache_invalidations", s.plan_invalidations);
   snap.AddCounter("plan_cache_evictions", s.plan_evictions);

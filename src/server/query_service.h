@@ -55,6 +55,7 @@ struct ServiceStats {
   // Plan-template cache counters (the SQL Submit path).
   uint64_t plan_lookups = 0;        ///< SQL submissions that probed the cache
   uint64_t plan_hits = 0;           ///< probes answered without compiling
+  uint64_t plan_text_hits = 0;      ///< hits served by a remembered text
   uint64_t plan_compiles = 0;       ///< statements compiled to a Program
   uint64_t plan_invalidations = 0;  ///< cached plans dropped by commits/DDL
   uint64_t plan_evictions = 0;      ///< cached plans dropped by LRU capacity
@@ -181,10 +182,13 @@ class QueryService {
   /// once under the shared update lock, so compilation sees a stable
   /// catalog); every later same-pattern submission — any session, any
   /// literals — shares that recycler-optimised Program and only re-binds
-  /// its parameter values. The submission captures the session's snapshot —
-  /// the open transaction's view, else the pinned one, else the newest
-  /// published epoch — and the worker executes the whole query against that
-  /// immutable view WITHOUT the update lock, concurrently with commits.
+  /// its parameter values. An exact text the cache has seen bound before
+  /// skips parsing and binding altogether (PlanCache::LookupText); it
+  /// counts as one plan lookup and one hit. The submission captures the
+  /// session's snapshot — the open transaction's view, else the pinned one,
+  /// else the newest published epoch — and the worker executes the whole
+  /// query against that immutable view WITHOUT the update lock,
+  /// concurrently with commits.
   /// Compile errors resolve the returned future immediately.
   ///
   /// DML and transaction control (INSERT/DELETE/UPDATE and
@@ -316,10 +320,11 @@ class QueryService {
   std::shared_ptr<obs::QueryTrace> MaybeTrace(const std::string& statement,
                                               bool forced);
   /// The one parse/classify/route prologue behind every SQL entry point:
-  /// parses `text`, executes DML inline (under `session`), and otherwise
-  /// plans + enqueues the SELECT according to the session/options. When
-  /// non-null, `handle_out`'s snapshot_epoch/is_dml are filled in (the
-  /// future is the caller's). `done` fires exactly once.
+  /// probes the plan cache by exact text, else parses `text`; executes DML
+  /// inline (under `session`), and otherwise plans + enqueues the SELECT
+  /// according to the session/options. When non-null, `handle_out`'s
+  /// snapshot_epoch/is_dml are filled in (the future is the caller's).
+  /// `done` fires exactly once.
   void RouteStatement(const std::string& text, Session* session,
                       const SubmitOptions& options, SqlCallback done,
                       QueryHandle* handle_out);

@@ -2,7 +2,9 @@
 // loopback with results byte-identical to an in-process Submit, session
 // options, BUSY admission control under injected and real pool budget
 // pressure,
-// CANCEL semantics (counter + event-ring visibility), protocol-error
+// CANCEL semantics (counter + event-ring visibility), the reply contract
+// (replies leave from the producing thread: slot released before the
+// bytes, cancel suppression, slow and vanishing readers), protocol-error
 // handling for garbage bytes, graceful Stop() draining, and a
 // start/stop/churn stress loop (TSan-clean, no sleeps in shutdown).
 
@@ -14,6 +16,8 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
+#include <future>
 #include <memory>
 #include <string>
 #include <thread>
@@ -69,9 +73,13 @@ class RawConn {
  public:
   ~RawConn() { Close(); }
 
-  bool Connect(uint16_t port) {
+  /// `rcvbuf` > 0 shrinks the receive buffer before connecting, so a large
+  /// reply cannot fit in the kernel's buffers on the way.
+  bool Connect(uint16_t port, int rcvbuf = 0) {
     fd_ = socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
     if (fd_ < 0) return false;
+    if (rcvbuf > 0)
+      setsockopt(fd_, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof(rcvbuf));
     timeval tv{10, 0};
     setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
     sockaddr_in addr{};
@@ -478,6 +486,232 @@ TEST(NetServerTest, CancelPendingRequestCountsAndTraces) {
   EXPECT_TRUE(saw_cancel_event);
 
   server.Stop();
+}
+
+// ---------------------------------------------------------------------------
+// The reply contract: a reply leaves from the thread that produced it.
+// ---------------------------------------------------------------------------
+
+/// Encoded DML frame (the executor thread answers it).
+std::string DmlBytes(uint64_t rid, const std::string& sql) {
+  Frame f;
+  f.kind = FrameKind::kDml;
+  f.request_id = rid;
+  net::PutString(&f.payload, sql);
+  return EncodeFrame(f);
+}
+
+/// The status code an ERROR frame carries.
+StatusCode ErrorCode(const Frame& f) {
+  auto err = net::DecodeError(f.payload);
+  return err.ok() ? err.value().code : StatusCode::kInternal;
+}
+
+TEST(NetServerTest, CancelAfterReplyIsNotFoundAndBeforeReplySuppresses) {
+  auto svc = MakeService();
+  net::RecycleServer server(svc.get());
+  ASSERT_TRUE(server.Start().ok());
+  RawConn conn;
+  ASSERT_TRUE(conn.Connect(server.port()));
+  ASSERT_TRUE(conn.Handshake());
+
+  // The reply already left: the id is answered, so CANCEL is NotFound.
+  conn.SendQuery(40, "select count(*) from t");
+  Frame f;
+  ASSERT_TRUE(conn.ReadFrame(&f));
+  EXPECT_EQ(f.kind, FrameKind::kResult);
+  EXPECT_EQ(f.request_id, 40u);
+  conn.SendBytes(RawConn::CancelBytes(41, 40));
+  ASSERT_TRUE(conn.ReadFrame(&f));
+  EXPECT_EQ(f.kind, FrameKind::kError);
+  EXPECT_EQ(f.request_id, 41u);
+  EXPECT_EQ(ErrorCode(f), StatusCode::kNotFound);
+
+  // The request is still running: an autocommit INSERT waits on the
+  // exclusive update lock this test holds, so the CANCEL finds it in
+  // flight. Its replier then sends CANCELLED, never RESULT.
+  std::promise<void> locked, release;
+  std::thread holder([&] {
+    Status st = svc->ApplyUpdate([&](Catalog*) {
+      locked.set_value();
+      release.get_future().wait();
+      return Status::OK();
+    });
+    EXPECT_TRUE(st.ok());
+  });
+  locked.get_future().wait();
+  conn.SendBytes(DmlBytes(42, "insert into t values (9000, 1)") +
+                 RawConn::CancelBytes(43, 42));
+  ASSERT_TRUE(conn.ReadFrame(&f));
+  EXPECT_EQ(f.kind, FrameKind::kOk);
+  EXPECT_EQ(f.request_id, 43u);
+  release.set_value();
+  holder.join();
+  ASSERT_TRUE(conn.ReadFrame(&f));
+  EXPECT_EQ(f.kind, FrameKind::kCancelled);
+  EXPECT_EQ(f.request_id, 42u);
+  // Nothing else was sent for it: the next frame answers the next PING.
+  conn.SendFrame(FrameKind::kPing, 44, "");
+  ASSERT_TRUE(conn.ReadFrame(&f));
+  EXPECT_EQ(f.kind, FrameKind::kPong);
+  EXPECT_EQ(f.request_id, 44u);
+  // Answered with CANCELLED, the id is no longer in flight either.
+  conn.SendBytes(RawConn::CancelBytes(45, 42));
+  ASSERT_TRUE(conn.ReadFrame(&f));
+  EXPECT_EQ(f.kind, FrameKind::kError);
+  EXPECT_EQ(ErrorCode(f), StatusCode::kNotFound);
+  server.Stop();
+}
+
+// Under pool pressure the window is 1 and nothing parks, so a closed-loop
+// client's next request is admitted only if its previous reply released
+// the slot before the bytes reached the client.
+TEST(NetServerTest, ClosedLoopUnderPressureNeverSeesBusy) {
+  auto svc = MakeService();
+  auto epoch = std::make_shared<std::atomic<uint64_t>>(0);
+  net::NetConfig cfg;
+  cfg.pressure_inflight = 1;
+  cfg.pressure_window_ms = 60000;  // stays pressured for the whole test
+  cfg.pressure_epoch_fn = [epoch] { return epoch->load(); };
+  net::RecycleServer server(svc.get(), cfg);
+  ASSERT_TRUE(server.Start().ok());
+  epoch->fetch_add(1);
+
+  constexpr int kClients = 4;
+  constexpr int kRequests = 800;
+  std::atomic<int> busy{0}, failed{0};
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      net::Client client;
+      if (!client.Connect(ClientFor(server)).ok()) {
+        failed.fetch_add(1);
+        return;
+      }
+      for (int i = 0; i < kRequests; ++i) {
+        auto r = client.Query(
+            "select count(*) from t where a between 0 and " +
+            std::to_string(100 * c + i % 7));
+        if (!r.ok()) {
+          (net::Client::IsBusy(r.status()) ? busy : failed).fetch_add(1);
+        }
+      }
+    });
+  }
+  for (auto& t : clients) t.join();
+  EXPECT_EQ(busy.load(), 0);
+  EXPECT_EQ(failed.load(), 0);
+  EXPECT_EQ(svc->metrics().AddCounter("net_busy_rejections")->value(), 0u);
+  server.Stop();
+}
+
+/// 2^20 rows: `select a, b from t` encodes about 8 MB, more than any
+/// loopback socket buffers on the way to a client with a small window.
+constexpr int kBigRows = 1 << 20;
+const char* const kBigQuery = "select a, b from t";
+
+/// Waits until some reply was left for the I/O thread to flush.
+bool AwaitDeferredReply(QueryService* svc) {
+  obs::Counter* deferred = svc->metrics().AddCounter("net_replies_deferred");
+  const auto until =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (deferred->value() == 0) {
+    if (std::chrono::steady_clock::now() > until) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
+
+TEST(NetServerTest, PeerClosingMidReplyLeavesServerServing) {
+  ServiceConfig scfg;
+  scfg.num_workers = 2;
+  QueryService svc(MakeDb(11, kBigRows), scfg);
+  net::RecycleServer server(&svc);
+  ASSERT_TRUE(server.Start().ok());
+  {
+    RawConn conn;
+    ASSERT_TRUE(conn.Connect(server.port(), /*rcvbuf=*/4096));
+    ASSERT_TRUE(conn.Handshake());
+    conn.SendQuery(1, kBigQuery);
+    ASSERT_TRUE(AwaitDeferredReply(&svc));
+  }  // closes with most of the reply unread
+
+  net::Client client;
+  ASSERT_TRUE(client.Connect(ClientFor(server)).ok());
+  EXPECT_TRUE(client.Ping().ok());
+  auto r = client.Query("select count(*) from t");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r.value().result.ToString(),
+            "count = " + std::to_string(kBigRows) + "\n");
+  client.Close();
+  server.Stop();
+  EXPECT_EQ(server.connection_count(), 0u);
+}
+
+TEST(NetServerTest, SlowReaderGetsEveryFrameIntactAndInOrder) {
+  // One worker answers the pipelined queries in order; the client reads
+  // nothing until the first reply overflowed the socket, so the later
+  // replies queue behind its unsent bytes.
+  ServiceConfig scfg;
+  scfg.num_workers = 1;
+  QueryService svc(MakeDb(11, kBigRows), scfg);
+  net::RecycleServer server(&svc);
+  ASSERT_TRUE(server.Start().ok());
+  QueryService local(MakeDb(11, kBigRows), scfg);
+  Session sess;
+
+  const std::vector<std::string> sqls = {
+      kBigQuery, "select count(*) from t where a between 5 and 9",
+      "select b, a from t"};
+  RawConn conn;
+  ASSERT_TRUE(conn.Connect(server.port(), /*rcvbuf=*/4096));
+  ASSERT_TRUE(conn.Handshake());
+  std::string batch;
+  for (size_t i = 0; i < sqls.size(); ++i)
+    batch += RawConn::QueryBytes(i + 1, sqls[i]);
+  conn.SendBytes(batch);
+  ASSERT_TRUE(AwaitDeferredReply(&svc));
+
+  for (size_t i = 0; i < sqls.size(); ++i) {
+    Frame f;
+    ASSERT_TRUE(conn.ReadFrame(&f)) << i;
+    ASSERT_EQ(f.kind, FrameKind::kResult) << i;
+    EXPECT_EQ(f.request_id, i + 1);
+    net::Cursor c{&f.payload};
+    std::string got;
+    ASSERT_TRUE(net::GetString(&c, &got).ok()) << i;
+    auto want = testutil::RunSql(&local, &sess, sqls[i]);
+    ASSERT_TRUE(want.ok()) << want.status().ToString();
+    EXPECT_TRUE(got == net::EncodeResultSet(want.value())) << sqls[i];
+  }
+  server.Stop();
+}
+
+// Observability: the replying thread records the request latency, and an
+// exact repeat of a SELECT text binds without parsing.
+TEST(NetServerTest, RemoteSelectRecordsLatencyAndRepeatIsATextHit) {
+  auto svc = MakeService();
+  obs::LatencyHistogram* request_us =
+      svc->metrics().AddHistogram("net_request_us");
+  const char* q = "select count(*) from t where a between 10 and 20";
+  uint64_t samples = request_us->snapshot().count;
+  for (uint64_t want_text_hits : {0u, 1u}) {
+    net::RecycleServer server(svc.get());
+    ASSERT_TRUE(server.Start().ok());
+    net::Client client;
+    ASSERT_TRUE(client.Connect(ClientFor(server)).ok());
+    ASSERT_TRUE(client.Query(q).ok());
+    client.Close();
+    server.Stop();  // drains: the reply's sample is in
+    EXPECT_EQ(request_us->snapshot().count, samples + 1);
+    samples = request_us->snapshot().count;
+    EXPECT_EQ(svc->SnapshotStats().plan_text_hits, want_text_hits);
+  }
+  EXPECT_NE(svc->DumpMetricsPrometheus().find(
+                "recycledb_plan_cache_text_hits 1"),
+            std::string::npos);
+  EXPECT_NE(svc->DumpMetricsJson().find("net_replies_deferred"),
+            std::string::npos);
 }
 
 // ---------------------------------------------------------------------------

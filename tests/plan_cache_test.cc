@@ -2,7 +2,9 @@
 // semantics of data commits (cached plans survive and see the new rows)
 // versus DDL-driven invalidation through the query service (plans over
 // a dropped/updated table are recompiled or rejected, never executed
-// stale), and a concurrent Submit/ApplyUpdate stress for the TSan job.
+// stale), remembered statement texts (bound like BindLiterals, dropped with
+// their plan, capped per plan), and a concurrent Submit/ApplyUpdate stress
+// for the TSan job.
 
 #include <gtest/gtest.h>
 
@@ -12,6 +14,7 @@
 
 #include "server/plan_cache.h"
 #include "server/query_service.h"
+#include "sql/parser.h"
 #include "sql/planner.h"
 #include "sql_test_util.h"
 #include "util/rng.h"
@@ -107,6 +110,80 @@ TEST(PlanCacheCapacityTest, InvalidationReturnsLeasedCapacity) {
   EXPECT_EQ(cache.size(), 2u);
   EXPECT_EQ(cache.stats().evictions, 0u)
       << "insert after invalidation must reuse the freed slot, not evict";
+}
+
+// ---------------------------------------------------------------------------
+// Statement texts: a remembered text dies with its plan and stays bounded.
+// ---------------------------------------------------------------------------
+
+TEST(PlanCacheTextTest, TextHitReturnsRememberedParamsAndCounts) {
+  PlanCache cache;
+  auto e = cache.Insert("fp", MakeEntry({0}));
+  cache.RememberText("q 7", "fp", e, {Scalar::Int(7)});
+  std::vector<Scalar> params;
+  EXPECT_EQ(cache.LookupText("q 8", &params), nullptr);
+  EXPECT_EQ(cache.LookupText("q 7", &params), e);
+  ASSERT_EQ(params.size(), 1u);
+  EXPECT_EQ(params[0], Scalar::Int(7));
+  // A text miss counts nothing; a text hit is one lookup and one hit.
+  PlanCacheStats s = cache.stats();
+  EXPECT_EQ(s.lookups, 1u);
+  EXPECT_EQ(s.hits, 1u);
+  EXPECT_EQ(s.text_hits, 1u);
+}
+
+TEST(PlanCacheTextTest, TextsDieWithInvalidationEvictionAndClear) {
+  PlanCache cache(/*max_plans=*/2);
+  auto a = cache.Insert("a", MakeEntry({0}));
+  auto b = cache.Insert("b", MakeEntry({1}));
+  cache.RememberText("ta", "a", a, {});
+  cache.RememberText("tb", "b", b, {});
+  EXPECT_EQ(cache.text_count(), 2u);
+  std::vector<Scalar> params;
+
+  cache.Invalidate({{1, 0}});  // drops b
+  EXPECT_EQ(cache.LookupText("tb", &params), nullptr);
+  EXPECT_NE(cache.LookupText("ta", &params), nullptr);
+  EXPECT_EQ(cache.text_count(), 1u);
+
+  cache.Insert("c", MakeEntry({2}));
+  cache.Insert("d", MakeEntry({2}));  // evicts a, the LRU plan
+  EXPECT_EQ(cache.stats().evictions, 1u);
+  EXPECT_EQ(cache.LookupText("ta", &params), nullptr);
+  EXPECT_EQ(cache.text_count(), 0u);
+
+  auto c = cache.Lookup("c");
+  cache.RememberText("tc", "c", c, {});
+  cache.Clear();
+  EXPECT_EQ(cache.LookupText("tc", &params), nullptr);
+  EXPECT_EQ(cache.text_count(), 0u);
+}
+
+TEST(PlanCacheTextTest, DroppedPlanTakesNoTexts) {
+  PlanCache cache;
+  auto old_entry = cache.Insert("fp", MakeEntry({0}));
+  cache.Invalidate({{0, 0}});
+  auto fresh = cache.Insert("fp", MakeEntry({0}));
+  // A text bound onto the dropped plan is not remembered under its
+  // successor, nor under a fingerprint that is gone.
+  cache.RememberText("t", "fp", old_entry, {});
+  cache.RememberText("u", "gone", fresh, {});
+  EXPECT_EQ(cache.text_count(), 0u);
+  cache.RememberText("t", "fp", fresh, {});
+  std::vector<Scalar> params;
+  EXPECT_EQ(cache.LookupText("t", &params), fresh);
+}
+
+TEST(PlanCacheTextTest, EachPlanKeepsItsNewestTexts) {
+  PlanCache cache;
+  auto e = cache.Insert("fp", MakeEntry({0}));
+  const size_t n = 3 * PlanCache::kMaxTextsPerPlan;
+  for (size_t i = 0; i < n; ++i)
+    cache.RememberText("q" + std::to_string(i), "fp", e, {});
+  EXPECT_EQ(cache.text_count(), PlanCache::kMaxTextsPerPlan);
+  std::vector<Scalar> params;
+  EXPECT_EQ(cache.LookupText("q0", &params), nullptr);  // oldest out first
+  EXPECT_EQ(cache.LookupText("q" + std::to_string(n - 1), &params), e);
 }
 
 // ---------------------------------------------------------------------------
@@ -221,6 +298,80 @@ TEST_F(PlanCacheServiceTest, SqlErrorsDoNotPoisonTheCache) {
   EXPECT_EQ(s.submitted, 1u);
   EXPECT_EQ(s.failed, 1u);
   EXPECT_EQ(CountT(), 3);  // the table itself is fine
+}
+
+// A text hit must bind exactly what parsing and BindLiterals would: the
+// first submission compiles and remembers its own parameters, which the
+// text probe then hands back.
+TEST_F(PlanCacheServiceTest, TextHitBindsWhatBindLiteralsGives) {
+  const char* texts[] = {
+      "select count(*) from t where v >= 15",
+      "select count(*) from t where v between 12 and 25",
+      "select count(*) from t where k >= 1 and v < 30",
+      "select sum(w) from u where w > 7",
+  };
+  for (const char* text : texts) {
+    ASSERT_TRUE(RunSql(text).ok()) << text;
+    std::vector<Scalar> remembered;
+    PlanCache::EntryPtr entry =
+        svc_->plan_cache().LookupText(text, &remembered);
+    ASSERT_NE(entry, nullptr) << text;
+    auto parsed = sql::ParseStatement(text);
+    ASSERT_TRUE(parsed.ok());
+    auto bound = sql::BindLiterals(parsed.value().select, entry->param_types);
+    ASSERT_TRUE(bound.ok()) << text;
+    EXPECT_EQ(remembered, bound.value()) << text;
+  }
+}
+
+TEST_F(PlanCacheServiceTest, TracedAndUncoercibleTextsAreNeverRemembered) {
+  ASSERT_TRUE(RunSql("trace select count(*) from t where v >= 15").ok());
+  EXPECT_EQ(svc_->plan_cache().size(), 1u);
+  EXPECT_EQ(svc_->plan_cache().text_count(), 0u);
+
+  // Same fingerprint, but the literal overflows the plan's int parameter.
+  const char* bad = "select count(*) from t where v >= 99999999999";
+  for (int i = 0; i < 2; ++i) {
+    auto r = RunSql(bad);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), StatusCode::kOutOfRange);
+  }
+  EXPECT_EQ(svc_->plan_cache().text_count(), 0u);
+  EXPECT_EQ(svc_->SnapshotStats().plan_text_hits, 0u);
+}
+
+TEST_F(PlanCacheServiceTest, TextHitsSurviveCommitsAndDieWithTheSchema) {
+  EXPECT_EQ(CountT(), 3);
+  EXPECT_EQ(CountT(), 3);
+  EXPECT_EQ(svc_->SnapshotStats().plan_text_hits, 1u);
+  ASSERT_TRUE(svc_->ApplyUpdate([](Catalog* cat) {
+                    TxnWriteSet ws = cat->BeginWrite();
+                    RDB_RETURN_NOT_OK(cat->Append(
+                        &ws, "t", {{Scalar::OidVal(3), Scalar::Int(40)}}));
+                    return cat->CommitWrite(&ws);
+                  })
+                  .ok());
+  // The binding outlives the data commit, and the text hit still reads the
+  // newest snapshot.
+  EXPECT_EQ(CountT(), 4);
+  EXPECT_EQ(svc_->SnapshotStats().plan_text_hits, 2u);
+
+  ASSERT_TRUE(
+      svc_->ApplyUpdate([](Catalog* cat) { return cat->DropTable("t"); })
+          .ok());
+  EXPECT_EQ(svc_->plan_cache().text_count(), 0u);
+  auto r = RunSql("select count(*) from t");
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kNotFound);
+}
+
+TEST_F(PlanCacheServiceTest, FreshLiteralsStayWithinThePerPlanCap) {
+  for (int i = 0; i < 100; ++i)
+    ASSERT_TRUE(RunSql(StrFormat("select count(*) from t where v >= %d", i))
+                    .ok());
+  EXPECT_EQ(svc_->plan_cache().size(), 1u);
+  EXPECT_EQ(svc_->plan_cache().text_count(), PlanCache::kMaxTextsPerPlan);
+  EXPECT_EQ(svc_->SnapshotStats().plan_text_hits, 0u);
 }
 
 TEST_F(PlanCacheServiceTest, ConcurrentSubmitSqlAndCommits) {

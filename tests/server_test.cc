@@ -2,7 +2,8 @@
 // N workers hammering one pool must produce exactly the serial results, keep
 // sharing intermediates across sessions (hit rate > 0), survive Clear() and
 // ResetStats() mid-flight, and never return stale results when catalog
-// updates interleave with query execution.
+// updates interleave with query execution; remembered statement texts stay
+// correct under concurrent sessions and read each session's snapshot.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +15,7 @@
 #include "interp/interpreter.h"
 #include "mal/plan_builder.h"
 #include "server/query_service.h"
+#include "sql_test_util.h"
 #include "util/rng.h"
 
 namespace recycledb {
@@ -133,6 +135,72 @@ TEST(QueryServiceTest, ConcurrentMatchesSerialAndSharesPool) {
   EXPECT_EQ(ss.completed, workload.size());
   EXPECT_EQ(ss.failed, 0u);
   EXPECT_GT(ss.pool_hits, 0u);
+}
+
+// Statement texts bound before: sessions racing repeated texts and fresh
+// literals (which push older texts out of the per-plan cap) all get the
+// serial answers, and the repeats are served by text hits.
+TEST(QueryServiceTest, ConcurrentTextHitsMatchSerialResults) {
+  auto text = [](int lo, int width) {
+    return "select count(*) from t where a between " + std::to_string(lo) +
+           " and " + std::to_string(lo + width);
+  };
+  QueryService shadow(MakeDb(), ServiceConfig{});
+  Session shadow_sess;
+  constexpr int kTexts = 8;
+  std::vector<Scalar> expected;
+  for (int i = 0; i < kTexts; ++i)
+    expected.push_back(
+        ResultScalar(testutil::RunSql(&shadow, &shadow_sess, text(i, 100))));
+
+  ServiceConfig cfg;
+  cfg.num_workers = 4;
+  QueryService svc(MakeDb(), cfg);
+  std::atomic<int> wrong{0};
+  std::vector<std::thread> threads;
+  for (int c = 0; c < 4; ++c) {
+    threads.emplace_back([&, c] {
+      Session sess;
+      Rng rng(70 + c);
+      for (int i = 0; i < 150; ++i) {
+        if (i % 5 == 4) {  // fresh literal: remembered, then crowded out
+          auto r = testutil::RunSql(&svc, &sess, text(500 + 150 * c + i, 7));
+          if (!r.ok()) wrong.fetch_add(1);
+          continue;
+        }
+        const int k = static_cast<int>(rng.Uniform(kTexts));
+        auto r = testutil::RunSql(&svc, &sess, text(k, 100));
+        if (!r.ok() || !(r.value().values[0].second.scalar() == expected[k]))
+          wrong.fetch_add(1);
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(wrong.load(), 0);
+  ServiceStats ss = svc.SnapshotStats();
+  EXPECT_GT(ss.plan_text_hits, 0u);
+  EXPECT_LE(ss.plan_compiles, 4u);  // racing first compiles, one plan
+  EXPECT_EQ(svc.plan_cache().size(), 1u);
+  EXPECT_EQ(ss.plan_lookups, 4u * 150u);
+  EXPECT_LE(svc.plan_cache().text_count(), PlanCache::kMaxTextsPerPlan);
+}
+
+// A text hit skips only parse and bind: the snapshot is still the
+// session's, so an open transaction reads its own writes through it.
+TEST(QueryServiceTest, TextHitReadsTheSessionsSnapshot) {
+  QueryService svc(MakeDb(), ServiceConfig{});
+  Session writer, other;
+  const char* q = "select count(*) from t where a = 4242";
+  ASSERT_EQ(ResultScalar(testutil::RunSql(&svc, &other, q)).ToInt64(), 0);
+  writer.set_autocommit(false);
+  ASSERT_TRUE(
+      testutil::RunSql(&svc, &writer, "insert into t values (4242, 1)").ok());
+  const uint64_t hits = svc.SnapshotStats().plan_text_hits;
+  EXPECT_EQ(ResultScalar(testutil::RunSql(&svc, &writer, q)).ToInt64(), 1);
+  EXPECT_EQ(ResultScalar(testutil::RunSql(&svc, &other, q)).ToInt64(), 0);
+  EXPECT_EQ(svc.SnapshotStats().plan_text_hits, hits + 2);
+  ASSERT_TRUE(testutil::RunSql(&svc, &writer, "commit").ok());
+  EXPECT_EQ(ResultScalar(testutil::RunSql(&svc, &other, q)).ToInt64(), 1);
 }
 
 TEST(QueryServiceTest, SubmitFutureResolvesWithResult) {

@@ -436,5 +436,36 @@ TEST(SqlDifferentialTest, FoldedAndParentSidePlansMatchAPlainInterpreter) {
   EXPECT_GT(checked.size(), 0u);
 }
 
+// A statement text seen before binds without parsing: every pattern,
+// submitted twice with the same text, answers the same, and the second
+// submission is a text hit.
+TEST(SqlDifferentialTest, RepeatedTextIsATextHitWithTheSameAnswer) {
+  Catalog cat;
+  tpch::TpchConfig tcfg;
+  tcfg.scale_factor = 0.002;
+  ASSERT_TRUE(tpch::LoadTpch(&cat, tcfg).ok());
+  QueryService svc(&cat, ServiceConfig{});
+  Session sess;
+  Rng rng(45);
+  for (int p = 0; p < kPatterns; ++p) {
+    const std::string sql = Statement(p, rng);
+    auto first = testutil::RunSql(&svc, &sess, sql);
+    ASSERT_TRUE(first.ok()) << sql << "\n" << first.status().ToString();
+    const uint64_t text_hits = svc.SnapshotStats().plan_text_hits;
+    auto second = testutil::RunSql(&svc, &sess, sql);
+    ASSERT_TRUE(second.ok()) << sql << "\n" << second.status().ToString();
+    EXPECT_EQ(svc.SnapshotStats().plan_text_hits, text_hits + 1) << sql;
+    EXPECT_TRUE(perfbench::SameAnswer(perfbench::Canonicalize(first.value()),
+                                      perfbench::Canonicalize(second.value())))
+        << sql;
+    EXPECT_EQ(first.value().ToString(), second.value().ToString()) << sql;
+    auto want = perfbench::ReferenceAnswer(&cat, sql);
+    ASSERT_TRUE(want.ok()) << sql;
+    EXPECT_TRUE(perfbench::SameAnswer(perfbench::Canonicalize(second.value()),
+                                      want.value()))
+        << sql;
+  }
+}
+
 }  // namespace
 }  // namespace recycledb
